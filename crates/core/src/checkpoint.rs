@@ -28,20 +28,21 @@
 //! harness constructs); resuming a run made with hand-built custom
 //! timings is out of scope (see DESIGN.md §12).
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
-use vrl_dram_sim::policy::PolicyState;
 use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
 use vrl_dram_sim::stats::SimStats;
-use vrl_dram_sim::AutoRefresh;
+use vrl_dram_sim::{Engine, TimingParams};
 use vrl_obs::{EventStream, Recorder};
 use vrl_sched::{SchedConfig, SchedStats, Scheduler};
 use vrl_snap::{Decoder, Encoder, SnapError, Snapshot as _};
 use vrl_trace::TraceRecord;
 
 use crate::error::Error;
-use crate::experiment::{Experiment, ExperimentConfig, MatrixCell, PolicyKind};
+use crate::experiment::{with_policy, Experiment, ExperimentConfig, MatrixCell, PolicyKind};
+use crate::spans::drive;
 
 /// Checkpoint cadence and destination for one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +105,13 @@ impl<S> CheckpointOutcome<S> {
         match self {
             CheckpointOutcome::Completed(s) => Some(s),
             CheckpointOutcome::Halted { .. } => None,
+        }
+    }
+
+    fn map<T>(self, f: impl FnOnce(S) -> T) -> CheckpointOutcome<T> {
+        match self {
+            CheckpointOutcome::Completed(s) => CheckpointOutcome::Completed(f(s)),
+            CheckpointOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
         }
     }
 }
@@ -331,55 +339,86 @@ impl ObserverState for Recorder {
     }
 }
 
-fn write_checkpoint(path: &Path, sealed: &[u8]) -> Result<(), Error> {
-    vrl_snap::write_atomic(path, sealed).map_err(Error::Snapshot)
-}
-
-/// Dispatches over [`PolicyKind`] with the concrete policy bound in
-/// scope, so the generic drive functions monomorphize per policy.
-macro_rules! with_policy {
-    ($kind:expr, $plan:expr, |$p:ident| $body:expr) => {
-        match $kind {
-            PolicyKind::Auto => {
-                let $p = AutoRefresh::new(64.0);
-                $body
-            }
-            PolicyKind::Raidr => {
-                let $p = $plan.raidr();
-                $body
-            }
-            PolicyKind::Vrl => {
-                let $p = $plan.vrl();
-                $body
-            }
-            PolicyKind::VrlAccess => {
-                let $p = $plan.vrl_access();
-                $body
-            }
-        }
-    };
-}
-pub(crate) use with_policy;
-
 /// One checkpoint payload: header, resume point, engine state, observer
 /// state — sealed into the versioned, checksummed envelope.
-fn seal_payload(
+fn seal_payload<E: Engine>(
     header: &Header,
     stop: u64,
-    consumed: u64,
-    engine: impl FnOnce(&mut Encoder),
+    engine: &E,
+    cursor: &E::Cursor,
     observer: &impl ObserverState,
 ) -> Vec<u8> {
     let mut enc = Encoder::new();
     header.save(&mut enc);
     enc.put_u64(stop);
-    enc.put_u64(consumed);
-    engine(&mut enc);
+    enc.put_u64(E::pulled(cursor));
+    engine.save_state(&mut enc, cursor);
     observer.save_obs(&mut enc);
     vrl_snap::seal(&enc.into_bytes())
 }
 
+/// Drives `engine` from `cursor` with the checkpointing `on_pause` hook:
+/// every pause seals a snapshot and writes it atomically to
+/// [`CheckpointConfig::path`], and the run halts once
+/// [`CheckpointConfig::halt_after`] snapshots are written.
+fn checkpointed<E, I, O>(
+    mut engine: E,
+    cursor: E::Cursor,
+    trace: I,
+    header: &Header,
+    ckpt: &CheckpointConfig,
+    first_stop: u64,
+    observer: &mut O,
+) -> Result<CheckpointOutcome<E::Stats>, Error>
+where
+    E: Engine,
+    I: Iterator<Item = TraceRecord>,
+    O: ObserverState,
+{
+    let end = TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
+    let mut written = 0;
+    let stats = drive(
+        &mut engine,
+        cursor,
+        trace,
+        end,
+        first_stop,
+        ckpt.every_cycles,
+        observer,
+        |engine, cursor, observer, stop| {
+            let payload = seal_payload(header, stop, engine, cursor, observer);
+            vrl_snap::write_atomic(&ckpt.path, &payload)?;
+            written += 1;
+            Ok(if ckpt.halt_after.is_some_and(|k| written >= k) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        },
+    )?;
+    Ok(match stats {
+        Some(stats) => CheckpointOutcome::Completed(stats),
+        None => CheckpointOutcome::Halted {
+            checkpoints: written,
+        },
+    })
+}
+
 impl Experiment {
+    /// The header binding a snapshot of this experiment's run to its
+    /// front end, benchmark, and policy.
+    fn header(&self, front_end: FrontEndKind, benchmark: &str, policy: PolicyKind) -> Header {
+        Header {
+            front_end,
+            benchmark: benchmark.to_owned(),
+            policy,
+            config: *self.config(),
+            queue_depth: 0,
+            sched: None,
+            traced: false,
+        }
+    }
+
     /// [`Experiment::run_policy`] with crash-consistent checkpoints: the
     /// single-bank simulator pauses every
     /// [`CheckpointConfig::every_cycles`] and atomically snapshots its
@@ -396,26 +435,17 @@ impl Experiment {
         ckpt: &CheckpointConfig,
     ) -> Result<CheckpointOutcome<SimStats>, Error> {
         ckpt.validated()?;
-        let header = Header {
-            front_end: FrontEndKind::Sim,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
-            queue_depth: 0,
-            sched: None,
-            traced: false,
-        };
+        let header = self.header(FrontEndKind::Sim, benchmark, kind);
         let trace = self.trace(benchmark)?;
         with_policy!(kind, self.plan(), |p| {
-            let mut sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            drive_sim(
-                &mut sim,
+            let sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
+            checkpointed(
+                sim,
+                0,
                 trace,
                 &header,
                 ckpt,
                 ckpt.every_cycles,
-                0,
-                0,
                 &mut NullObserver,
             )
         })
@@ -436,26 +466,21 @@ impl Experiment {
     ) -> Result<CheckpointOutcome<ControllerStats>, Error> {
         ckpt.validated()?;
         let header = Header {
-            front_end: FrontEndKind::FrFcfs,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
             queue_depth,
-            sched: None,
-            traced: false,
+            ..self.header(FrontEndKind::FrFcfs, benchmark, kind)
         };
         let trace = self.trace(benchmark)?;
         with_policy!(kind, self.plan(), |p| {
-            let mut ctl =
-                FrFcfsController::new(SimConfig::with_rows(self.config().rows), p, queue_depth)?;
-            drive_frfcfs(
-                &mut ctl,
+            let config = SimConfig::with_rows(self.config().rows);
+            let ctl = FrFcfsController::new(config, p, queue_depth)?;
+            let first = ckpt.every_cycles;
+            checkpointed(
+                ctl,
+                Default::default(),
                 trace,
                 &header,
                 ckpt,
-                ckpt.every_cycles,
-                0,
-                None,
+                first,
                 &mut NullObserver,
             )
         })
@@ -474,31 +499,7 @@ impl Experiment {
         sched: SchedConfig,
         ckpt: &CheckpointConfig,
     ) -> Result<CheckpointOutcome<SchedStats>, Error> {
-        ckpt.validated()?;
-        let header = Header {
-            front_end: FrontEndKind::Sched,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
-            queue_depth: 0,
-            sched: Some(SchedShape::of(&sched)),
-            traced: false,
-        };
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let mut engine = Scheduler::new(sched, p)?;
-            drive_sched(
-                &mut engine,
-                trace,
-                &header,
-                ckpt,
-                ckpt.every_cycles,
-                0,
-                None,
-                &mut NullObserver,
-            )
-            .map(|out| out.map_stats())
-        })
+        self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut NullObserver, false)
     }
 
     /// [`Experiment::run_scheduled_traced`] with crash-consistent
@@ -515,185 +516,41 @@ impl Experiment {
         sched: SchedConfig,
         ckpt: &CheckpointConfig,
     ) -> Result<CheckpointOutcome<(SchedStats, EventStream)>, Error> {
+        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
+        let outcome = self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut recorder, true)?;
+        Ok(outcome.map(|stats| (stats, recorder.finish())))
+    }
+
+    /// The scheduler's checkpointed run, traced or not.
+    fn sched_checkpointed<O: ObserverState>(
+        &self,
+        kind: PolicyKind,
+        benchmark: &str,
+        sched: SchedConfig,
+        ckpt: &CheckpointConfig,
+        observer: &mut O,
+        traced: bool,
+    ) -> Result<CheckpointOutcome<SchedStats>, Error> {
         ckpt.validated()?;
         let header = Header {
-            front_end: FrontEndKind::Sched,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
-            queue_depth: 0,
             sched: Some(SchedShape::of(&sched)),
-            traced: true,
+            traced,
+            ..self.header(FrontEndKind::Sched, benchmark, kind)
         };
         let trace = self.trace(benchmark)?;
-        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
-        let outcome = with_policy!(kind, self.plan(), |p| {
-            let mut engine = Scheduler::new(sched, p)?;
-            drive_sched(
-                &mut engine,
+        with_policy!(kind, self.plan(), |p| {
+            let engine = Scheduler::new(sched, p)?;
+            let first = ckpt.every_cycles;
+            checkpointed(
+                engine,
+                Default::default(),
                 trace,
                 &header,
                 ckpt,
-                ckpt.every_cycles,
-                0,
-                None,
-                &mut recorder,
-            )?
-        });
-        Ok(match outcome {
-            SchedOutcome::Completed(stats) => {
-                CheckpointOutcome::Completed((stats, recorder.finish()))
-            }
-            SchedOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
+                first,
+                observer,
+            )
         })
-    }
-}
-
-/// Scheduler drive outcome before the traced/untraced split. A
-/// short-lived return value, so the stats stay unboxed despite the
-/// variant size gap.
-#[allow(clippy::large_enum_variant)]
-enum SchedOutcome {
-    Completed(SchedStats),
-    Halted { checkpoints: u32 },
-}
-
-impl SchedOutcome {
-    fn map_stats(self) -> CheckpointOutcome<SchedStats> {
-        match self {
-            SchedOutcome::Completed(s) => CheckpointOutcome::Completed(s),
-            SchedOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_sim<P, I, O>(
-    sim: &mut Simulator<P>,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    mut stop: u64,
-    mut consumed: u64,
-    mut written: u32,
-    observer: &mut O,
-) -> Result<CheckpointOutcome<SimStats>, Error>
-where
-    P: vrl_dram_sim::policy::RefreshPolicy + PolicyState,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let end = vrl_dram_sim::TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
-    let mut trace = trace.peekable();
-    loop {
-        let span_end = stop.min(end);
-        consumed += sim.run_span_observed(&mut trace, span_end, observer);
-        if span_end >= end {
-            return Ok(CheckpointOutcome::Completed(
-                sim.finish_observed(end, observer),
-            ));
-        }
-        let payload = seal_payload(
-            header,
-            span_end,
-            consumed,
-            |enc| sim.save_state(enc),
-            observer,
-        );
-        write_checkpoint(&ckpt.path, &payload)?;
-        written += 1;
-        if ckpt.halt_after.is_some_and(|k| written >= k) {
-            return Ok(CheckpointOutcome::Halted {
-                checkpoints: written,
-            });
-        }
-        stop = stop.saturating_add(ckpt.every_cycles);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_frfcfs<P, I, O>(
-    ctl: &mut FrFcfsController<P>,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    mut stop: u64,
-    mut written: u32,
-    cursor: Option<vrl_dram_sim::controller::ControllerCursor>,
-    observer: &mut O,
-) -> Result<CheckpointOutcome<ControllerStats>, Error>
-where
-    P: vrl_dram_sim::policy::RefreshPolicy + PolicyState,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let end = vrl_dram_sim::TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
-    let mut cursor = cursor.unwrap_or_default();
-    let skip = cursor.pulled() as usize;
-    let mut trace = trace.take_while(|r| r.cycle < end).skip(skip).peekable();
-    loop {
-        let paused = ctl.run_span_observed(&mut cursor, &mut trace, end, stop, observer)?;
-        if !paused {
-            return Ok(CheckpointOutcome::Completed(ctl.finish(end)));
-        }
-        let payload = seal_payload(
-            header,
-            stop,
-            cursor.pulled(),
-            |enc| ctl.save_state(enc, &cursor),
-            observer,
-        );
-        write_checkpoint(&ckpt.path, &payload)?;
-        written += 1;
-        if ckpt.halt_after.is_some_and(|k| written >= k) {
-            return Ok(CheckpointOutcome::Halted {
-                checkpoints: written,
-            });
-        }
-        stop = stop.saturating_add(ckpt.every_cycles);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_sched<P, I, O>(
-    engine: &mut Scheduler<P>,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    mut stop: u64,
-    mut written: u32,
-    cursor: Option<vrl_sched::SchedCursor>,
-    observer: &mut O,
-) -> Result<SchedOutcome, Error>
-where
-    P: vrl_dram_sim::policy::RefreshPolicy + PolicyState,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let end = vrl_dram_sim::TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
-    let mut cursor = cursor.unwrap_or_default();
-    let skip = cursor.pulled() as usize;
-    let mut trace = trace.take_while(|r| r.cycle < end).skip(skip).peekable();
-    loop {
-        let paused = engine.run_span_observed(&mut cursor, &mut trace, end, stop, observer)?;
-        if !paused {
-            return Ok(SchedOutcome::Completed(engine.finish(end)));
-        }
-        let payload = seal_payload(
-            header,
-            stop,
-            cursor.pulled(),
-            |enc| engine.save_state(enc, &cursor),
-            observer,
-        );
-        write_checkpoint(&ckpt.path, &payload)?;
-        written += 1;
-        if ckpt.halt_after.is_some_and(|k| written >= k) {
-            return Ok(SchedOutcome::Halted {
-                checkpoints: written,
-            });
-        }
-        stop = stop.saturating_add(ckpt.every_cycles);
     }
 }
 
@@ -722,6 +579,46 @@ pub struct ResumeReport {
     /// The recorded event stream, for traced snapshots that ran to
     /// completion.
     pub events: Option<EventStream>,
+}
+
+/// Where a resumed run picks up: the snapshot's decoder positioned at
+/// the engine state, the consumption point, and the continued cadence.
+struct ResumePoint<'a> {
+    dec: Decoder<'a>,
+    header: &'a Header,
+    consumed: u64,
+    next_stop: u64,
+    cont: &'a CheckpointConfig,
+}
+
+impl ResumePoint<'_> {
+    /// Restores `engine` and `observer` from the snapshot and drives the
+    /// run on from the pause point — the one resume arm every front end
+    /// shares.
+    fn run<E, I, O>(
+        &mut self,
+        mut engine: E,
+        trace: I,
+        observer: &mut O,
+    ) -> Result<CheckpointOutcome<E::Stats>, Error>
+    where
+        E: Engine,
+        I: Iterator<Item = TraceRecord>,
+        O: ObserverState,
+    {
+        let cursor = engine.restore_state(&mut self.dec, self.consumed)?;
+        observer.restore_obs(&mut self.dec)?;
+        let trace = trace.skip(self.consumed as usize);
+        checkpointed(
+            engine,
+            cursor,
+            trace,
+            self.header,
+            self.cont,
+            self.next_stop,
+            observer,
+        )
+    }
 }
 
 /// Resumes a checkpointed run from `path` and drives it to completion
@@ -755,142 +652,57 @@ pub fn resume(path: &Path, ckpt: Option<&CheckpointConfig>) -> Result<ResumeRepo
     let fallback = CheckpointConfig::new(path, u64::MAX);
     let cont = ckpt.unwrap_or(&fallback);
     cont.validated()?;
-    let next_stop = stop.saturating_add(cont.every_cycles);
+    let mut point = ResumePoint {
+        dec,
+        header: &header,
+        consumed,
+        next_stop: stop.saturating_add(cont.every_cycles),
+        cont,
+    };
 
-    match header.front_end {
+    let rows = header.config.rows;
+    let (outcome, events) = match header.front_end {
         FrontEndKind::Sim => with_policy!(header.policy, experiment.plan(), |p| {
-            let mut sim = Simulator::new(SimConfig::with_rows(header.config.rows), p);
-            sim.restore_state(&mut dec)?;
-            let trace = trace.skip(consumed as usize);
-            let outcome = drive_sim(
-                &mut sim,
-                trace,
-                &header,
-                cont,
-                next_stop,
-                consumed,
-                0,
-                &mut NullObserver,
-            )?;
-            Ok(ResumeReport {
-                front_end: header.front_end,
-                benchmark: header.benchmark.clone(),
-                policy: header.policy,
-                outcome: match outcome {
-                    CheckpointOutcome::Completed(s) => {
-                        CheckpointOutcome::Completed(ResumedStats::Sim(s))
-                    }
-                    CheckpointOutcome::Halted { checkpoints } => {
-                        CheckpointOutcome::Halted { checkpoints }
-                    }
-                },
-                events: None,
-            })
+            let sim = Simulator::new(SimConfig::with_rows(rows), p);
+            let outcome = point.run(sim, trace, &mut NullObserver)?;
+            (outcome.map(ResumedStats::Sim), None)
         }),
         FrontEndKind::FrFcfs => with_policy!(header.policy, experiment.plan(), |p| {
-            let mut ctl = FrFcfsController::new(
-                SimConfig::with_rows(header.config.rows),
-                p,
-                header.queue_depth,
-            )?;
-            let cursor = ctl.restore_state(&mut dec)?;
-            let outcome = drive_frfcfs(
-                &mut ctl,
-                trace,
-                &header,
-                cont,
-                next_stop,
-                0,
-                Some(cursor),
-                &mut NullObserver,
-            )?;
-            Ok(ResumeReport {
-                front_end: header.front_end,
-                benchmark: header.benchmark.clone(),
-                policy: header.policy,
-                outcome: match outcome {
-                    CheckpointOutcome::Completed(s) => {
-                        CheckpointOutcome::Completed(ResumedStats::FrFcfs(s))
-                    }
-                    CheckpointOutcome::Halted { checkpoints } => {
-                        CheckpointOutcome::Halted { checkpoints }
-                    }
-                },
-                events: None,
-            })
+            let ctl = FrFcfsController::new(SimConfig::with_rows(rows), p, header.queue_depth)?;
+            let outcome = point.run(ctl, trace, &mut NullObserver)?;
+            (outcome.map(ResumedStats::FrFcfs), None)
         }),
         FrontEndKind::Sched => {
             let shape = header.sched.ok_or(Error::Snapshot(SnapError::Malformed {
                 what: "scheduler snapshot lacks its geometry".to_owned(),
             }))?;
-            let sched_config = shape.to_config()?;
+            let sched = shape.to_config()?;
             with_policy!(header.policy, experiment.plan(), |p| {
-                let mut engine = Scheduler::new(sched_config, p)?;
-                let cursor = engine.restore_state(&mut dec)?;
+                let engine = Scheduler::new(sched, p)?;
                 if header.traced {
-                    let mut recorder = Recorder::new(
-                        &header.benchmark,
-                        header.policy.name(),
-                        sched_config.rows_per_bank(),
-                    );
-                    recorder.restore_obs(&mut dec)?;
-                    let outcome = drive_sched(
-                        &mut engine,
-                        trace,
-                        &header,
-                        cont,
-                        next_stop,
-                        0,
-                        Some(cursor),
-                        &mut recorder,
-                    )?;
-                    let (outcome, events) = match outcome {
-                        SchedOutcome::Completed(s) => (
-                            CheckpointOutcome::Completed(ResumedStats::Sched(s)),
-                            Some(recorder.finish()),
-                        ),
-                        SchedOutcome::Halted { checkpoints } => {
-                            (CheckpointOutcome::Halted { checkpoints }, None)
-                        }
-                    };
-                    Ok(ResumeReport {
-                        front_end: header.front_end,
-                        benchmark: header.benchmark.clone(),
-                        policy: header.policy,
-                        outcome,
-                        events,
-                    })
+                    let policy = header.policy.name();
+                    let mut recorder =
+                        Recorder::new(&header.benchmark, policy, sched.rows_per_bank());
+                    let outcome = point.run(engine, trace, &mut recorder)?;
+                    let completed = matches!(outcome, CheckpointOutcome::Completed(_));
+                    (
+                        outcome.map(ResumedStats::Sched),
+                        completed.then(|| recorder.finish()),
+                    )
                 } else {
-                    let outcome = drive_sched(
-                        &mut engine,
-                        trace,
-                        &header,
-                        cont,
-                        next_stop,
-                        0,
-                        Some(cursor),
-                        &mut NullObserver,
-                    )?;
-                    Ok(ResumeReport {
-                        front_end: header.front_end,
-                        benchmark: header.benchmark.clone(),
-                        policy: header.policy,
-                        outcome: outcome.map_stats().map_resumed(),
-                        events: None,
-                    })
+                    let outcome = point.run(engine, trace, &mut NullObserver)?;
+                    (outcome.map(ResumedStats::Sched), None)
                 }
             })
         }
-    }
-}
-
-impl CheckpointOutcome<SchedStats> {
-    fn map_resumed(self) -> CheckpointOutcome<ResumedStats> {
-        match self {
-            CheckpointOutcome::Completed(s) => CheckpointOutcome::Completed(ResumedStats::Sched(s)),
-            CheckpointOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
-        }
-    }
+    };
+    Ok(ResumeReport {
+        front_end: header.front_end,
+        benchmark: header.benchmark.clone(),
+        policy: header.policy,
+        outcome,
+        events,
+    })
 }
 
 /// A matrix-level manifest for [`Experiment::compare_all`]-style sweeps:

@@ -18,13 +18,13 @@ use vrl_exec::{map_ordered, map_ordered_report, ExecConfig, PoolReport};
 
 use vrl_circuit::model::AnalyticalModel;
 use vrl_circuit::tech::Technology;
-use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
+use vrl_dram_sim::controller::ControllerStats;
 use vrl_dram_sim::fault::{FaultConfig, FaultInjector, FaultStats};
 use vrl_dram_sim::guard::{Guard, GuardConfig, GuardStats};
 use vrl_dram_sim::integrity::IntegrityChecker;
 use vrl_dram_sim::policy::AdaptivePolicy;
 use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
-use vrl_dram_sim::{AutoRefresh, SimStats, TimingParams};
+use vrl_dram_sim::{SimStats, TimingParams};
 use vrl_obs::{merge_streams, Event, EventStream, MetricsRegistry, MetricsSnapshot, Recorder};
 use vrl_power::model::{PowerBreakdown, PowerModel};
 use vrl_retention::distribution::RetentionDistribution;
@@ -35,6 +35,32 @@ use vrl_trace::{TraceRecord, Workload, WorkloadSpec};
 use crate::error::Error;
 use crate::physics::ModelPhysics;
 use crate::plan::RefreshPlan;
+
+/// Dispatches over [`PolicyKind`] with the concrete policy bound to
+/// `$p` in `$body`, so generic engine code monomorphizes per policy.
+macro_rules! with_policy {
+    ($kind:expr, $plan:expr, |$p:ident| $body:expr) => {
+        match $kind {
+            PolicyKind::Auto => {
+                let $p = vrl_dram_sim::AutoRefresh::new(64.0);
+                $body
+            }
+            PolicyKind::Raidr => {
+                let $p = $plan.raidr();
+                $body
+            }
+            PolicyKind::Vrl => {
+                let $p = $plan.vrl();
+                $body
+            }
+            PolicyKind::VrlAccess => {
+                let $p = $plan.vrl_access();
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_policy;
 
 /// Which refresh policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -281,22 +307,7 @@ impl Experiment {
         I: Iterator<Item = TraceRecord>,
         O: SimObserver,
     {
-        let sim_config = SimConfig::with_rows(self.config.rows);
-        let d = self.config.duration_ms;
-        match kind {
-            PolicyKind::Auto => {
-                Simulator::new(sim_config, AutoRefresh::new(64.0)).run_observed(trace, d, observer)
-            }
-            PolicyKind::Raidr => {
-                Simulator::new(sim_config, self.plan.raidr()).run_observed(trace, d, observer)
-            }
-            PolicyKind::Vrl => {
-                Simulator::new(sim_config, self.plan.vrl()).run_observed(trace, d, observer)
-            }
-            PolicyKind::VrlAccess => {
-                Simulator::new(sim_config, self.plan.vrl_access()).run_observed(trace, d, observer)
-            }
-        }
+        self.run_sim(kind, trace, observer, 0, |_| {})
     }
 
     /// Runs one policy against one benchmark on the single-bank front
@@ -545,21 +556,10 @@ impl Experiment {
         let trace = self.trace(benchmark)?;
         let label = format!("{benchmark}/ch{channel}");
         let mut recorder = Recorder::new(&label, kind.name(), sched.rows_per_bank());
-        let d = self.config.duration_ms;
-        let stats = match kind {
-            PolicyKind::Auto => Scheduler::for_channel(sched, AutoRefresh::new(64.0), channel)?
-                .run_observed(trace, d, &mut recorder)?,
-            PolicyKind::Raidr => Scheduler::for_channel(sched, self.plan.raidr(), channel)?
-                .run_observed(trace, d, &mut recorder)?,
-            PolicyKind::Vrl => Scheduler::for_channel(sched, self.plan.vrl(), channel)?
-                .run_observed(trace, d, &mut recorder)?,
-            PolicyKind::VrlAccess => Scheduler::for_channel(
-                sched,
-                self.plan.vrl_access(),
-                channel,
-            )?
-            .run_observed(trace, d, &mut recorder)?,
-        };
+        let stats = with_policy!(kind, self.plan, |p| {
+            let engine = Scheduler::for_channel(sched, p, channel)?;
+            self.run_spanned(engine, trace, &mut recorder, 0, |_| {})?
+        });
         Ok((stats, recorder.finish()))
     }
 
@@ -638,22 +638,7 @@ impl Experiment {
     where
         I: Iterator<Item = TraceRecord>,
     {
-        let config = SimConfig::with_rows(self.config.rows);
-        let d = self.config.duration_ms;
-        Ok(match kind {
-            PolicyKind::Auto => {
-                FrFcfsController::new(config, AutoRefresh::new(64.0), queue_depth)?.run(trace, d)?
-            }
-            PolicyKind::Raidr => {
-                FrFcfsController::new(config, self.plan.raidr(), queue_depth)?.run(trace, d)?
-            }
-            PolicyKind::Vrl => {
-                FrFcfsController::new(config, self.plan.vrl(), queue_depth)?.run(trace, d)?
-            }
-            PolicyKind::VrlAccess => {
-                FrFcfsController::new(config, self.plan.vrl_access(), queue_depth)?.run(trace, d)?
-            }
-        })
+        self.run_frfcfs_spanned_with(kind, trace, queue_depth, 0, |_| {})
     }
 
     /// Runs one policy against one benchmark on the multi-bank command
@@ -693,20 +678,9 @@ impl Experiment {
         I: Iterator<Item = TraceRecord>,
         O: SimObserver,
     {
-        let d = self.config.duration_ms;
-        Ok(match kind {
-            PolicyKind::Auto => {
-                Scheduler::new(sched, AutoRefresh::new(64.0))?.run_observed(trace, d, observer)?
-            }
-            PolicyKind::Raidr => {
-                Scheduler::new(sched, self.plan.raidr())?.run_observed(trace, d, observer)?
-            }
-            PolicyKind::Vrl => {
-                Scheduler::new(sched, self.plan.vrl())?.run_observed(trace, d, observer)?
-            }
-            PolicyKind::VrlAccess => {
-                Scheduler::new(sched, self.plan.vrl_access())?.run_observed(trace, d, observer)?
-            }
+        with_policy!(kind, self.plan, |p| {
+            let engine = Scheduler::new(sched, p)?;
+            self.run_spanned(engine, trace, observer, 0, |_| {})
         })
     }
 
@@ -826,14 +800,9 @@ impl Experiment {
         let profiled: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
         let timing = TimingParams::paper_default();
         let injector = FaultInjector::new(*faults, &profiled, timing);
-        Ok(match kind {
-            PolicyKind::Auto => self.faulted_run(AutoRefresh::new(64.0), trace, injector, guard),
-            PolicyKind::Raidr => self.faulted_run(self.plan.raidr(), trace, injector, guard),
-            PolicyKind::Vrl => self.faulted_run(self.plan.vrl(), trace, injector, guard),
-            PolicyKind::VrlAccess => {
-                self.faulted_run(self.plan.vrl_access(), trace, injector, guard)
-            }
-        })
+        Ok(with_policy!(kind, self.plan, |p| {
+            self.faulted_run(p, trace, injector, guard)
+        }))
     }
 
     fn faulted_run<P, I>(

@@ -20,6 +20,9 @@
 //!   fault-injected runs with the optional runtime guard; the full
 //!   (benchmark × policy) matrix fans across the `vrl-exec` worker pool
 //!   with bit-identical results to the serial path,
+//! * [`spans`] — the one drive loop every run goes through (plain,
+//!   spanned with progress callbacks, checkpointed, resumed), over the
+//!   [`vrl_dram_sim::Engine`] trait,
 //! * [`checkpoint`] — crash-consistent checkpoint/resume: versioned,
 //!   checksummed snapshots of a run's full engine state written
 //!   atomically on a cycle cadence, resumable bit-identically on every

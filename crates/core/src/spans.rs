@@ -1,24 +1,40 @@
-//! Span-segmented runs with progress callbacks.
+//! The one drive loop behind every run, and span-segmented runs with
+//! progress callbacks.
 //!
-//! The checkpointing layer proved that pausing an engine at an
-//! arbitrary cycle boundary inserts no state change: composing
-//! `run_span_observed` spans is bit-identical to one unsegmented run.
-//! This module reuses that property for *streaming progress* instead of
-//! snapshots — `vrl-serve` drives every job through the
-//! `run_*_spanned_with` family so clients receive per-span cycle counts
-//! while the final statistics stay byte-identical to the plain
-//! `run_policy` / `run_frfcfs` / `run_scheduled` paths (asserted by the
-//! tests below and by the serve bit-identity suite).
+//! Every front end implements [`vrl_dram_sim::Engine`]: `run_span`
+//! services the trace up to a stop cycle and pauses without finalizing,
+//! `finish` closes the run, and `save_state`/`restore_state` snapshot
+//! the engine together with its between-span cursor. Pausing inserts no
+//! state change, so composing spans is bit-identical to one unsegmented
+//! run.
+//!
+//! `drive` is the only loop over `run_span` in this crate. It pauses
+//! at `first_stop`, then every `every` cycles, and hands each pause to an
+//! `on_pause` hook, which may continue or halt the run:
+//!
+//! * plain and spanned runs ([`Experiment::run_policy_spanned_with`] and
+//!   friends, which `vrl-serve` drives every job through) use a
+//!   progress hook that reports a [`SpanProgress`] per pause;
+//! * checkpointed runs (the [`checkpoint`](crate::checkpoint) module)
+//!   use a hook that seals the engine state into a snapshot, writes it
+//!   atomically, and halts after `halt_after` snapshots; a resumed run
+//!   restores an engine and cursor and re-enters the same loop.
+//!
+//! The final statistics of every path are byte-identical to the plain
+//! `run_policy` / `run_frfcfs` / `run_scheduled` results (asserted by the
+//! tests below, `tests/checkpoint_resume.rs`, and the serve bit-identity
+//! suite).
 
-use vrl_dram_sim::controller::{ControllerCursor, ControllerStats, FrFcfsController};
-use vrl_dram_sim::sim::{NullObserver, SimConfig, Simulator};
-use vrl_dram_sim::{AutoRefresh, SimStats, TimingParams};
-use vrl_sched::{SchedConfig, SchedCursor, SchedStats, Scheduler};
+use std::ops::ControlFlow;
+
+use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
+use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
+use vrl_dram_sim::{Engine, SimStats, TimingParams};
+use vrl_sched::{SchedConfig, SchedStats, Scheduler};
 use vrl_trace::TraceRecord;
 
-use crate::checkpoint::with_policy;
 use crate::error::Error;
-use crate::experiment::{Experiment, PolicyKind};
+use crate::experiment::{with_policy, Experiment, PolicyKind};
 
 /// Progress from one completed span of a spanned run: the run paused at
 /// `cycle` with simulation still ahead of it. Emitted only at pauses —
@@ -33,19 +49,114 @@ pub struct SpanProgress {
     pub end: u64,
 }
 
-/// Clamps a span cadence: `0` means "never pause" (one giant span).
-fn cadence(span_cycles: u64) -> u64 {
-    if span_cycles == 0 {
-        u64::MAX
-    } else {
-        span_cycles
+/// Drives `engine` from `cursor` over the records of `trace` before
+/// `end`: spans stop at `first_stop` and then every `every` cycles, and
+/// each pause goes to `on_pause(engine, cursor, observer, stop)`. Returns
+/// the final statistics, or `None` if a hook halted the run.
+///
+/// `trace` must already be positioned at the cursor's consumption point
+/// (a resumed run skips the records its snapshot consumed).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<E, I, O, F>(
+    engine: &mut E,
+    mut cursor: E::Cursor,
+    trace: I,
+    end: u64,
+    first_stop: u64,
+    every: u64,
+    observer: &mut O,
+    mut on_pause: F,
+) -> Result<Option<E::Stats>, Error>
+where
+    E: Engine,
+    I: Iterator<Item = TraceRecord>,
+    O: SimObserver,
+    F: FnMut(&E, &E::Cursor, &O, u64) -> Result<ControlFlow<()>, Error>,
+{
+    let mut trace = trace.take_while(|r| r.cycle < end).peekable();
+    let mut stop = first_stop;
+    while engine.run_span(&mut cursor, &mut trace, end, stop, observer)? {
+        if on_pause(engine, &cursor, observer, stop)?.is_break() {
+            return Ok(None);
+        }
+        stop = stop.saturating_add(every);
     }
+    Ok(Some(engine.finish(end, observer)))
 }
 
 impl Experiment {
     /// The run's final cycle for this experiment's duration.
-    fn end_cycle(&self) -> u64 {
+    pub(crate) fn end_cycle(&self) -> u64 {
         TimingParams::paper_default().ms_to_cycles(self.config().duration_ms)
+    }
+
+    /// Runs a fresh `engine` over `trace` to the end of the experiment,
+    /// pausing every `span_cycles` cycles (`0` = one span) to report
+    /// progress to `on_span` — the shared body of every plain and
+    /// spanned entry point.
+    pub(crate) fn run_spanned<E, I, O, F>(
+        &self,
+        mut engine: E,
+        trace: I,
+        observer: &mut O,
+        span_cycles: u64,
+        mut on_span: F,
+    ) -> Result<E::Stats, Error>
+    where
+        E: Engine,
+        I: Iterator<Item = TraceRecord>,
+        O: SimObserver,
+        F: FnMut(SpanProgress),
+    {
+        let end = self.end_cycle();
+        let every = if span_cycles == 0 {
+            u64::MAX
+        } else {
+            span_cycles
+        };
+        let mut span = 0;
+        let stats = drive(
+            &mut engine,
+            E::Cursor::default(),
+            trace,
+            end,
+            every.min(end),
+            every,
+            observer,
+            |_, _, _, cycle| {
+                span += 1;
+                on_span(SpanProgress { span, cycle, end });
+                Ok(ControlFlow::Continue(()))
+            },
+        )?;
+        Ok(stats.expect("progress hooks never halt a run"))
+    }
+
+    /// The single-bank simulator's plain and spanned runs.
+    pub(crate) fn run_sim<I, O, F>(
+        &self,
+        kind: PolicyKind,
+        trace: I,
+        observer: &mut O,
+        span_cycles: u64,
+        on_span: F,
+    ) -> SimStats
+    where
+        I: Iterator<Item = TraceRecord>,
+        O: SimObserver,
+        F: FnMut(SpanProgress),
+    {
+        let config = SimConfig::with_rows(self.config().rows);
+        with_policy!(kind, self.plan(), |p| {
+            self.run_spanned(
+                Simulator::new(config, p),
+                trace,
+                observer,
+                span_cycles,
+                on_span,
+            )
+        })
+        .expect("the single-bank simulator never fails")
     }
 
     /// [`Experiment::run_policy_with`] segmented into spans of
@@ -56,33 +167,13 @@ impl Experiment {
         kind: PolicyKind,
         trace: I,
         span_cycles: u64,
-        mut on_span: F,
+        on_span: F,
     ) -> SimStats
     where
         I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
-        let end = self.end_cycle();
-        let every = cadence(span_cycles);
-        let mut trace = trace.peekable();
-        with_policy!(kind, self.plan(), |p| {
-            let mut sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            let mut stop = every.min(end);
-            let mut span = 0u32;
-            loop {
-                sim.run_span_observed(&mut trace, stop, &mut NullObserver);
-                if stop >= end {
-                    return sim.finish_observed(end, &mut NullObserver);
-                }
-                span += 1;
-                on_span(SpanProgress {
-                    span,
-                    cycle: stop,
-                    end,
-                });
-                stop = stop.saturating_add(every);
-            }
-        })
+        self.run_sim(kind, trace, &mut NullObserver, span_cycles, on_span)
     }
 
     /// [`Experiment::run_frfcfs_with`] segmented into spans of
@@ -98,35 +189,16 @@ impl Experiment {
         trace: I,
         queue_depth: usize,
         span_cycles: u64,
-        mut on_span: F,
+        on_span: F,
     ) -> Result<ControllerStats, Error>
     where
         I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
-        let end = self.end_cycle();
-        let every = cadence(span_cycles);
-        let mut trace = trace.take_while(|r| r.cycle < end).peekable();
+        let config = SimConfig::with_rows(self.config().rows);
         with_policy!(kind, self.plan(), |p| {
-            let mut ctl =
-                FrFcfsController::new(SimConfig::with_rows(self.config().rows), p, queue_depth)?;
-            let mut cursor = ControllerCursor::default();
-            let mut stop = every.min(end);
-            let mut span = 0u32;
-            loop {
-                let paused =
-                    ctl.run_span_observed(&mut cursor, &mut trace, end, stop, &mut NullObserver)?;
-                if !paused {
-                    return Ok(ctl.finish(end));
-                }
-                span += 1;
-                on_span(SpanProgress {
-                    span,
-                    cycle: stop,
-                    end,
-                });
-                stop = stop.saturating_add(every);
-            }
+            let ctl = FrFcfsController::new(config, p, queue_depth)?;
+            self.run_spanned(ctl, trace, &mut NullObserver, span_cycles, on_span)
         })
     }
 
@@ -152,7 +224,7 @@ impl Experiment {
     {
         with_policy!(kind, self.plan(), |p| {
             let engine = Scheduler::new(sched, p)?;
-            self.drive_sched_spanned(engine, trace, span_cycles, on_span)
+            self.run_spanned(engine, trace, &mut NullObserver, span_cycles, on_span)
         })
     }
 
@@ -181,44 +253,8 @@ impl Experiment {
     {
         with_policy!(kind, self.plan(), |p| {
             let engine = Scheduler::for_channel(sched, p, channel)?;
-            self.drive_sched_spanned(engine, trace, span_cycles, on_span)
+            self.run_spanned(engine, trace, &mut NullObserver, span_cycles, on_span)
         })
-    }
-
-    /// The shared scheduler span loop behind the spanned sched/DIMM
-    /// entry points.
-    fn drive_sched_spanned<P, I, F>(
-        &self,
-        mut engine: Scheduler<P>,
-        trace: I,
-        span_cycles: u64,
-        mut on_span: F,
-    ) -> Result<SchedStats, Error>
-    where
-        P: vrl_dram_sim::policy::RefreshPolicy,
-        I: Iterator<Item = TraceRecord>,
-        F: FnMut(SpanProgress),
-    {
-        let end = self.end_cycle();
-        let every = cadence(span_cycles);
-        let mut trace = trace.take_while(|r| r.cycle < end).peekable();
-        let mut cursor = SchedCursor::default();
-        let mut stop = every.min(end);
-        let mut span = 0u32;
-        loop {
-            let paused =
-                engine.run_span_observed(&mut cursor, &mut trace, end, stop, &mut NullObserver)?;
-            if !paused {
-                return Ok(engine.finish(end));
-            }
-            span += 1;
-            on_span(SpanProgress {
-                span,
-                cycle: stop,
-                end,
-            });
-            stop = stop.saturating_add(every);
-        }
     }
 }
 
@@ -245,7 +281,7 @@ mod tests {
             let spanned =
                 e.run_policy_spanned_with(kind, trace.iter().copied(), 500_000, |p| spans.push(p));
             assert_eq!(spanned, plain, "{kind:?} spanned run must be bit-identical");
-            assert!(!spans.is_empty(), "a multi-span run reports progress");
+            assert_eq!(spans.len(), 383, "{kind:?} span count");
             assert!(spans.windows(2).all(|w| w[0].cycle < w[1].cycle));
             assert!(spans.iter().all(|p| p.cycle < p.end));
         }
@@ -263,7 +299,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(spanned, plain);
-        assert!(spans > 0);
+        assert_eq!(spans, 479, "frfcfs span count");
     }
 
     #[test]
@@ -274,16 +310,18 @@ mod tests {
             .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
             .unwrap();
         let trace = e.materialize_trace("bgsave").unwrap();
+        let mut spans = 0;
         let spanned = e
             .run_scheduled_spanned_with(
                 PolicyKind::VrlAccess,
                 sched,
                 trace.iter().copied(),
                 300_000,
-                |_| {},
+                |_| spans += 1,
             )
             .unwrap();
         assert_eq!(spanned, plain);
+        assert_eq!(spans, 639, "sched span count");
     }
 
     #[test]
@@ -293,7 +331,9 @@ mod tests {
         let direct = e.run_dimm_serial(PolicyKind::Vrl, "ferret", sched).unwrap();
         let trace = e.materialize_trace("ferret").unwrap();
         let mut merged = SchedStats::default();
+        let mut spans = Vec::new();
         for channel in 0..sched.channels() {
+            let mut count = 0;
             let shard = e
                 .run_dimm_channel_spanned_with(
                     PolicyKind::Vrl,
@@ -301,12 +341,14 @@ mod tests {
                     channel,
                     trace.iter().copied(),
                     250_000,
-                    |_| {},
+                    |_| count += 1,
                 )
                 .unwrap();
             merged = merged.merge(&shard);
+            spans.push(count);
         }
         assert_eq!(merged, direct.stats);
+        assert_eq!(spans, [767, 767], "per-channel span counts");
     }
 
     #[test]

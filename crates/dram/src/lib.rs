@@ -11,6 +11,8 @@
 //!   RAIDR \[27\] retention-aware binning, and the paper's VRL /
 //!   VRL-Access (Algorithm 1),
 //! * [`sim`] — the event-driven simulator,
+//! * [`engine`] — the span-segmented [`Engine`] contract the simulator,
+//!   the FR-FCFS controller, and the multi-bank scheduler share,
 //! * [`wheel`] — the bucketed timing-wheel refresh queue (O(1) amortized
 //!   schedule/expire over the bank's per-row deadlines),
 //! * [`stats`] — counters (refresh-busy cycles, stalls, hits/misses) and
@@ -43,18 +45,19 @@
 
 pub mod bank;
 pub mod controller;
+pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod guard;
 pub mod integrity;
 pub mod policy;
-pub mod rank;
 pub mod sim;
 pub mod stats;
 pub mod timing;
 pub mod wheel;
 
 pub use controller::{ControllerCursor, ControllerStats, FrFcfsController};
+pub use engine::Engine;
 pub use error::Error;
 pub use fault::{FaultConfig, FaultInjector};
 pub use guard::{Guard, GuardConfig, GuardStats};

@@ -50,8 +50,9 @@ use std::collections::VecDeque;
 
 use vrl_trace::{Op, TraceRecord};
 
+use vrl_dram_sim::engine::Engine;
 use vrl_dram_sim::error::Error;
-use vrl_dram_sim::policy::{ActivationEffect, RefreshPolicy};
+use vrl_dram_sim::policy::{ActivationEffect, PolicyState, RefreshPolicy};
 use vrl_dram_sim::sim::{NullObserver, SimObserver};
 use vrl_dram_sim::timing::RefreshLatency;
 use vrl_dram_sim::wheel::RefreshQueue;
@@ -1202,6 +1203,46 @@ impl<P: RefreshPolicy> Scheduler<P> {
         if pending.record.op == Op::Read {
             self.stats.read_latency.record(done - pending.record.cycle);
         }
+    }
+}
+
+impl<P: RefreshPolicy + PolicyState> Engine for Scheduler<P> {
+    type Stats = SchedStats;
+    type Cursor = SchedCursor;
+
+    fn run_span<I, O>(
+        &mut self,
+        cursor: &mut SchedCursor,
+        trace: &mut std::iter::Peekable<I>,
+        end: u64,
+        stop: u64,
+        observer: &mut O,
+    ) -> Result<bool, Error>
+    where
+        I: Iterator<Item = TraceRecord>,
+        O: SimObserver,
+    {
+        self.run_span_observed(cursor, trace, end, stop, observer)
+    }
+
+    fn finish<O: SimObserver>(&mut self, end: u64, _observer: &mut O) -> SchedStats {
+        Scheduler::finish(self, end)
+    }
+
+    fn pulled(cursor: &SchedCursor) -> u64 {
+        cursor.pulled()
+    }
+
+    fn save_state(&self, enc: &mut vrl_snap::Encoder, cursor: &SchedCursor) {
+        Scheduler::save_state(self, enc, cursor);
+    }
+
+    fn restore_state(
+        &mut self,
+        dec: &mut vrl_snap::Decoder<'_>,
+        _pulled: u64,
+    ) -> Result<SchedCursor, vrl_snap::SnapError> {
+        Scheduler::restore_state(self, dec)
     }
 }
 

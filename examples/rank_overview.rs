@@ -1,79 +1,25 @@
-//! Running VRL across a full 8-bank rank: first on the independent-bank
-//! `RankSimulator` (accesses demuxed through the physical address map),
-//! then on the cycle-accurate multi-bank command scheduler with
-//! refresh-access parallelization, to show what shared-bus timing and
-//! refresh steering change.
+//! Running VRL across a full 8-bank rank on the cycle-accurate
+//! multi-bank command scheduler: one shared command/data bus, inter-bank
+//! timing (tRRD/tFAW/tCCD), and DSARP-style refresh-access
+//! parallelization, reported per refresh and per read.
 //!
 //! Run with: `cargo run --release --example rank_overview`
 
 use vrl::circuit::model::AnalyticalModel;
 use vrl::circuit::tech::Technology;
 use vrl::core::plan::RefreshPlan;
-use vrl::dram::rank::{RankRecord, RankSimulator};
-use vrl::dram::sim::SimConfig;
 use vrl::retention::distribution::RetentionDistribution;
 use vrl::retention::profile::BankProfile;
 use vrl::sched::{SchedConfig, Scheduler};
-use vrl::trace::addr::AddressMap;
 use vrl::trace::{Op, TraceRecord};
 
 fn main() {
     let rows_per_bank = 1024u32;
     let banks = 8u32;
 
-    // One shared plan (real controllers profile per bank; sharing keeps
-    // the example simple — counters are still per-bank).
+    // The scheduler runs one policy over all global rows, so the
+    // retention profile spans the whole rank.
     let model = AnalyticalModel::new(Technology::n90());
-    let profile = BankProfile::generate(
-        &RetentionDistribution::liu_et_al(),
-        rows_per_bank as usize,
-        32,
-        42,
-    );
-    let plan = RefreshPlan::build(&model, &profile, 2, 0.0);
-
-    // A synthetic stream of byte addresses walked through the address
-    // map: sequential lines spread across banks (column-first layout).
-    let map = AddressMap::paper_default();
-    let trace: Vec<RankRecord> = (0..200_000u64)
-        .map(|i| {
-            let loc = map.decode(i * 64 * 7919); // large prime stride
-            RankRecord {
-                bank: loc.bank,
-                record: TraceRecord::new(i * 2_000, Op::Read, loc.row % rows_per_bank),
-            }
-        })
-        .collect();
-
-    let mut rank = RankSimulator::new(
-        SimConfig::with_rows(rows_per_bank),
-        plan.vrl_access(),
-        banks,
-    );
-    let stats = rank.run(trace.into_iter(), 512.0);
-
-    println!("rank of {banks} banks x {rows_per_bank} rows, 512 ms, VRL-Access:\n");
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>12}",
-        "bank", "accesses", "full", "partial", "busy (cyc)"
-    );
-    for (i, b) in stats.banks.iter().enumerate() {
-        println!(
-            "{:>6} {:>10} {:>10} {:>10} {:>12}",
-            i, b.accesses, b.full_refreshes, b.partial_refreshes, b.refresh_busy_cycles
-        );
-    }
-    println!(
-        "\nrank totals: {} refreshes, {} refresh-busy cycles, mean per-bank overhead {:.3}%",
-        stats.total_refreshes(),
-        stats.total_refresh_busy(),
-        stats.mean_refresh_overhead() * 100.0
-    );
-
-    // The same rank on the command scheduler: one shared command/data
-    // bus, inter-bank timing (tRRD/tFAW/tCCD), and DSARP-style refresh
-    // steering. The plan covers rows_per_bank rows; the scheduler wants
-    // one policy over all global rows, so this profile spans the rank.
     let rank_profile = BankProfile::generate(
         &RetentionDistribution::liu_et_al(),
         (banks * rows_per_bank) as usize,
@@ -84,7 +30,7 @@ fn main() {
     let sched_config = SchedConfig::with_geometry(banks, rows_per_bank)
         .expect("powers of two")
         .with_queue_depth(32);
-    // Same access stream, as flat line indices (the scheduler steers
+    // A large-prime stride over flat line indices (the scheduler steers
     // them through the address map itself).
     let sched_trace = (0..200_000u64).map(|i| {
         let line = (i * 7919) % (banks * rows_per_bank) as u64;
@@ -94,7 +40,7 @@ fn main() {
         Scheduler::new(sched_config, rank_plan.vrl_access()).expect("valid configuration");
     let s = sched.run(sched_trace, 512.0).expect("scheduled run");
 
-    println!("\nsame rank on the multi-bank command scheduler (VRL-Access):");
+    println!("rank of {banks} banks x {rows_per_bank} rows, 512 ms, VRL-Access:");
     println!(
         "  {} refreshes ({} partial), {} refresh-busy cycles",
         s.sim.total_refreshes(),
