@@ -31,17 +31,19 @@
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
+use vrl_dram_sim::controller::FrFcfsController;
 use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
 use vrl_dram_sim::stats::SimStats;
 use vrl_dram_sim::{Engine, TimingParams};
 use vrl_obs::{EventStream, Recorder};
-use vrl_sched::{SchedConfig, SchedStats, Scheduler};
+use vrl_sched::{SchedConfig, Scheduler};
 use vrl_snap::{Decoder, Encoder, SnapError, Snapshot as _};
 use vrl_trace::TraceRecord;
 
 use crate::error::Error;
-use crate::experiment::{with_policy, Experiment, ExperimentConfig, MatrixCell, PolicyKind};
+use crate::experiment::{
+    with_policy, EngineSpec, Experiment, ExperimentConfig, MatrixCell, Outcome, PolicyKind,
+};
 use crate::spans::drive;
 
 /// Checkpoint cadence and destination for one run.
@@ -112,49 +114,6 @@ impl<S> CheckpointOutcome<S> {
         match self {
             CheckpointOutcome::Completed(s) => CheckpointOutcome::Completed(f(s)),
             CheckpointOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
-        }
-    }
-}
-
-/// Which engine a checkpoint belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEndKind {
-    /// The single-bank [`Simulator`].
-    Sim,
-    /// The single-bank [`FrFcfsController`].
-    FrFcfs,
-    /// The multi-bank [`Scheduler`].
-    Sched,
-}
-
-impl FrontEndKind {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrontEndKind::Sim => "sim",
-            FrontEndKind::FrFcfs => "frfcfs",
-            FrontEndKind::Sched => "sched",
-        }
-    }
-}
-
-impl vrl_snap::Snapshot for FrontEndKind {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            FrontEndKind::Sim => 0,
-            FrontEndKind::FrFcfs => 1,
-            FrontEndKind::Sched => 2,
-        });
-    }
-
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, SnapError> {
-        match dec.take_u8()? {
-            0 => Ok(FrontEndKind::Sim),
-            1 => Ok(FrontEndKind::FrFcfs),
-            2 => Ok(FrontEndKind::Sched),
-            tag => Err(SnapError::Malformed {
-                what: format!("unknown front-end tag {tag}"),
-            }),
         }
     }
 }
@@ -278,39 +237,56 @@ impl vrl_snap::Snapshot for SchedShape {
 /// Everything a snapshot needs to reconstruct its run from scratch.
 #[derive(Debug, Clone, PartialEq)]
 struct Header {
-    front_end: FrontEndKind,
+    spec: EngineSpec,
     benchmark: String,
     policy: PolicyKind,
     config: ExperimentConfig,
-    /// FR-FCFS request-queue depth ([`FrontEndKind::FrFcfs`] only).
-    queue_depth: usize,
-    /// Scheduler shape ([`FrontEndKind::Sched`] only).
-    sched: Option<SchedShape>,
     /// Whether the run records a structured event trace (the observer's
     /// ring is then part of the engine state).
     traced: bool,
 }
 
-impl vrl_snap::Snapshot for Header {
+impl Header {
+    /// Byte order: engine tag, benchmark, policy, config, FR-FCFS queue
+    /// depth (0 for other engines), scheduler shape (`None` for other
+    /// engines), traced flag.
     fn save(&self, enc: &mut Encoder) {
-        self.front_end.save(enc);
+        let (tag, queue_depth, shape) = match self.spec {
+            EngineSpec::Sim => (0, 0, None),
+            EngineSpec::FrFcfs { queue_depth } => (1, queue_depth, None),
+            EngineSpec::Sched(config) => (2, 0, Some(SchedShape::of(&config))),
+        };
+        enc.put_u8(tag);
         self.benchmark.save(enc);
         self.policy.save(enc);
         self.config.save(enc);
-        enc.put_usize(self.queue_depth);
-        self.sched.save(enc);
+        enc.put_usize(queue_depth);
+        shape.save(enc);
         enc.put_bool(self.traced);
     }
 
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, SnapError> {
+    fn load(dec: &mut Decoder<'_>) -> Result<Self, Error> {
+        let tag = dec.take_u8()?;
+        let benchmark = String::load(dec)?;
+        let policy = PolicyKind::load(dec)?;
+        let config = ExperimentConfig::load(dec)?;
+        let queue_depth = dec.take_usize()?;
+        let shape = Option::<SchedShape>::load(dec)?;
+        let traced = dec.take_bool()?;
+        let malformed = |what: String| Error::Snapshot(SnapError::Malformed { what });
+        let spec = match (tag, shape) {
+            (0, _) => EngineSpec::Sim,
+            (1, _) => EngineSpec::FrFcfs { queue_depth },
+            (2, Some(shape)) => EngineSpec::Sched(shape.to_config()?),
+            (2, None) => return Err(malformed("scheduler snapshot lacks its geometry".into())),
+            (tag, _) => return Err(malformed(format!("unknown front-end tag {tag}"))),
+        };
         Ok(Header {
-            front_end: FrontEndKind::load(dec)?,
-            benchmark: String::load(dec)?,
-            policy: PolicyKind::load(dec)?,
-            config: ExperimentConfig::load(dec)?,
-            queue_depth: dec.take_usize()?,
-            sched: Option::<SchedShape>::load(dec)?,
-            traced: dec.take_bool()?,
+            spec,
+            benchmark,
+            policy,
+            config,
+            traced,
         })
     }
 }
@@ -357,17 +333,80 @@ fn seal_payload<E: Engine>(
     vrl_snap::seal(&enc.into_bytes())
 }
 
-/// Drives `engine` from `cursor` with the checkpointing `on_pause` hook:
-/// every pause seals a snapshot and writes it atomically to
+/// Where a resumed run picks up: the snapshot's decoder positioned at
+/// the engine state, the consumption point, and the pause cycle.
+struct Restore<'a> {
+    dec: Decoder<'a>,
+    consumed: u64,
+    stop: u64,
+}
+
+/// Builds the engine `$spec` names under policy `$kind` and binds it to
+/// `$e` in `$body`; an invalid queue depth or scheduler configuration
+/// returns early from the enclosing function.
+macro_rules! with_engine {
+    ($spec:expr, $kind:expr, $plan:expr, $rows:expr, |$e:ident| $body:expr) => {
+        match $spec {
+            EngineSpec::Sim => with_policy!($kind, $plan, |p| {
+                let $e = Simulator::new(SimConfig::with_rows($rows), p);
+                $body
+            }),
+            EngineSpec::FrFcfs { queue_depth } => with_policy!($kind, $plan, |p| {
+                let $e = FrFcfsController::new(SimConfig::with_rows($rows), p, queue_depth)?;
+                $body
+            }),
+            EngineSpec::Sched(config) => with_policy!($kind, $plan, |p| {
+                let $e = Scheduler::new(config, p)?;
+                $body
+            }),
+        }
+    };
+}
+
+/// Runs the engine `header` names over `experiment`'s trace, fresh or
+/// restored from a snapshot, writing checkpoints on `ckpt`'s cadence —
+/// the one path behind [`Experiment::run_checkpointed`] and [`resume`].
+fn run_engine(
+    experiment: &Experiment,
+    header: &Header,
+    ckpt: &CheckpointConfig,
+    restore: Option<Restore<'_>>,
+) -> Result<CheckpointOutcome<(Outcome, Option<EventStream>)>, Error> {
+    let trace = experiment.trace(&header.benchmark)?;
+    let rows_per_bank = match header.spec {
+        EngineSpec::Sched(config) => config.rows_per_bank(),
+        EngineSpec::Sim | EngineSpec::FrFcfs { .. } => u32::MAX,
+    };
+    let (policy, rows) = (header.policy, header.config.rows);
+    Ok(with_engine!(
+        header.spec,
+        policy,
+        experiment.plan(),
+        rows,
+        |engine| {
+            if header.traced {
+                let mut recorder = Recorder::new(&header.benchmark, policy.name(), rows_per_bank);
+                checkpointed(engine, trace, header, ckpt, restore, &mut recorder)?
+                    .map(|stats| (Outcome::from(stats), Some(recorder.finish())))
+            } else {
+                checkpointed(engine, trace, header, ckpt, restore, &mut NullObserver)?
+                    .map(|stats| (Outcome::from(stats), None))
+            }
+        }
+    ))
+}
+
+/// Drives `engine` — fresh, or restored from `restore` together with
+/// `observer` — with the checkpointing `on_pause` hook: every pause
+/// seals a snapshot and writes it atomically to
 /// [`CheckpointConfig::path`], and the run halts once
 /// [`CheckpointConfig::halt_after`] snapshots are written.
 fn checkpointed<E, I, O>(
     mut engine: E,
-    cursor: E::Cursor,
     trace: I,
     header: &Header,
     ckpt: &CheckpointConfig,
-    first_stop: u64,
+    restore: Option<Restore<'_>>,
     observer: &mut O,
 ) -> Result<CheckpointOutcome<E::Stats>, Error>
 where
@@ -375,12 +414,24 @@ where
     I: Iterator<Item = TraceRecord>,
     O: ObserverState,
 {
+    let (cursor, consumed, first_stop) = match restore {
+        None => (E::Cursor::default(), 0, ckpt.every_cycles),
+        Some(Restore {
+            mut dec,
+            consumed,
+            stop,
+        }) => {
+            let cursor = engine.restore_state(&mut dec, consumed)?;
+            observer.restore_obs(&mut dec)?;
+            (cursor, consumed, stop.saturating_add(ckpt.every_cycles))
+        }
+    };
     let end = TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
     let mut written = 0;
     let stats = drive(
         &mut engine,
         cursor,
-        trace,
+        trace.skip(consumed as usize),
         end,
         first_stop,
         ckpt.every_cycles,
@@ -405,220 +456,58 @@ where
 }
 
 impl Experiment {
-    /// The header binding a snapshot of this experiment's run to its
-    /// front end, benchmark, and policy.
-    fn header(&self, front_end: FrontEndKind, benchmark: &str, policy: PolicyKind) -> Header {
-        Header {
-            front_end,
-            benchmark: benchmark.to_owned(),
-            policy,
-            config: *self.config(),
-            queue_depth: 0,
-            sched: None,
-            traced: false,
-        }
-    }
-
-    /// [`Experiment::run_policy`] with crash-consistent checkpoints: the
-    /// single-bank simulator pauses every
+    /// Runs `benchmark` under policy `kind` on the engine `spec` names,
+    /// with crash-consistent checkpoints: the run pauses every
     /// [`CheckpointConfig::every_cycles`] and atomically snapshots its
-    /// full state to [`CheckpointConfig::path`].
+    /// full state to [`CheckpointConfig::path`]. With `traced`, an event
+    /// [`Recorder`] observes the run and its ring is part of every
+    /// snapshot, so a resumed traced run produces the identical event
+    /// stream.
+    ///
+    /// A completed run returns its statistics (and, when traced, the
+    /// recorded events), bit-identical to the plain `run_policy`,
+    /// `run_frfcfs` or `run_scheduled` run and its traced form.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark and
-    /// [`Error::Snapshot`] for a zero cadence or a failed write.
-    pub fn run_policy_checkpointed(
+    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark,
+    /// [`Error::Sim`] for an invalid queue depth or scheduler
+    /// configuration, and [`Error::Snapshot`] for a zero cadence or a
+    /// failed write.
+    pub fn run_checkpointed(
         &self,
+        spec: &EngineSpec,
         kind: PolicyKind,
         benchmark: &str,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<SimStats>, Error> {
-        ckpt.validated()?;
-        let header = self.header(FrontEndKind::Sim, benchmark, kind);
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            checkpointed(
-                sim,
-                0,
-                trace,
-                &header,
-                ckpt,
-                ckpt.every_cycles,
-                &mut NullObserver,
-            )
-        })
-    }
-
-    /// [`Experiment::run_frfcfs`] with crash-consistent checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_policy_checkpointed`]; additionally
-    /// [`Error::Sim`] for an invalid queue depth.
-    pub fn run_frfcfs_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        queue_depth: usize,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<ControllerStats>, Error> {
-        ckpt.validated()?;
-        let header = Header {
-            queue_depth,
-            ..self.header(FrontEndKind::FrFcfs, benchmark, kind)
-        };
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let config = SimConfig::with_rows(self.config().rows);
-            let ctl = FrFcfsController::new(config, p, queue_depth)?;
-            let first = ckpt.every_cycles;
-            checkpointed(
-                ctl,
-                Default::default(),
-                trace,
-                &header,
-                ckpt,
-                first,
-                &mut NullObserver,
-            )
-        })
-    }
-
-    /// [`Experiment::run_scheduled`] with crash-consistent checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_policy_checkpointed`]; additionally
-    /// [`Error::Sim`] for a scheduler configuration failure.
-    pub fn run_scheduled_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<SchedStats>, Error> {
-        self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut NullObserver, false)
-    }
-
-    /// [`Experiment::run_scheduled_traced`] with crash-consistent
-    /// checkpoints: the recorder's event ring is part of the snapshot,
-    /// so a resumed traced run produces the identical event stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_scheduled_checkpointed`].
-    pub fn run_scheduled_traced_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<(SchedStats, EventStream)>, Error> {
-        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
-        let outcome = self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut recorder, true)?;
-        Ok(outcome.map(|stats| (stats, recorder.finish())))
-    }
-
-    /// The scheduler's checkpointed run, traced or not.
-    fn sched_checkpointed<O: ObserverState>(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        ckpt: &CheckpointConfig,
-        observer: &mut O,
         traced: bool,
-    ) -> Result<CheckpointOutcome<SchedStats>, Error> {
+        ckpt: &CheckpointConfig,
+    ) -> Result<CheckpointOutcome<(Outcome, Option<EventStream>)>, Error> {
         ckpt.validated()?;
         let header = Header {
-            sched: Some(SchedShape::of(&sched)),
+            spec: *spec,
+            benchmark: benchmark.to_owned(),
+            policy: kind,
+            config: *self.config(),
             traced,
-            ..self.header(FrontEndKind::Sched, benchmark, kind)
         };
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let engine = Scheduler::new(sched, p)?;
-            let first = ckpt.every_cycles;
-            checkpointed(
-                engine,
-                Default::default(),
-                trace,
-                &header,
-                ckpt,
-                first,
-                observer,
-            )
-        })
+        run_engine(self, &header, ckpt, None)
     }
-}
-
-/// The engine-specific statistics a resumed run produced.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResumedStats {
-    /// Single-bank simulator statistics.
-    Sim(SimStats),
-    /// FR-FCFS controller statistics.
-    FrFcfs(ControllerStats),
-    /// Multi-bank scheduler statistics.
-    Sched(SchedStats),
 }
 
 /// The outcome of [`resume`].
 #[derive(Debug)]
 pub struct ResumeReport {
-    /// Which engine the snapshot came from.
-    pub front_end: FrontEndKind,
+    /// The engine the snapshot came from.
+    pub front_end: EngineSpec,
     /// The benchmark the run simulates.
     pub benchmark: String,
     /// The refresh policy under test.
     pub policy: PolicyKind,
     /// How the continued run ended.
-    pub outcome: CheckpointOutcome<ResumedStats>,
+    pub outcome: CheckpointOutcome<Outcome>,
     /// The recorded event stream, for traced snapshots that ran to
     /// completion.
     pub events: Option<EventStream>,
-}
-
-/// Where a resumed run picks up: the snapshot's decoder positioned at
-/// the engine state, the consumption point, and the continued cadence.
-struct ResumePoint<'a> {
-    dec: Decoder<'a>,
-    header: &'a Header,
-    consumed: u64,
-    next_stop: u64,
-    cont: &'a CheckpointConfig,
-}
-
-impl ResumePoint<'_> {
-    /// Restores `engine` and `observer` from the snapshot and drives the
-    /// run on from the pause point — the one resume arm every front end
-    /// shares.
-    fn run<E, I, O>(
-        &mut self,
-        mut engine: E,
-        trace: I,
-        observer: &mut O,
-    ) -> Result<CheckpointOutcome<E::Stats>, Error>
-    where
-        E: Engine,
-        I: Iterator<Item = TraceRecord>,
-        O: ObserverState,
-    {
-        let cursor = engine.restore_state(&mut self.dec, self.consumed)?;
-        observer.restore_obs(&mut self.dec)?;
-        let trace = trace.skip(self.consumed as usize);
-        checkpointed(
-            engine,
-            cursor,
-            trace,
-            self.header,
-            self.cont,
-            self.next_stop,
-            observer,
-        )
-    }
 }
 
 /// Resumes a checkpointed run from `path` and drives it to completion
@@ -644,61 +533,28 @@ pub fn resume(path: &Path, ckpt: Option<&CheckpointConfig>) -> Result<ResumeRepo
     let header = Header::load(&mut dec)?;
     let stop = dec.take_u64()?;
     let consumed = dec.take_u64()?;
-
-    let experiment = Experiment::new(header.config);
-    let trace = experiment.trace(&header.benchmark)?;
     // Continue checkpointing on the caller's cadence, or run straight
     // through (a cadence past the horizon never pauses again).
     let fallback = CheckpointConfig::new(path, u64::MAX);
     let cont = ckpt.unwrap_or(&fallback);
     cont.validated()?;
-    let mut point = ResumePoint {
+    let experiment = Experiment::new(header.config);
+    let restore = Restore {
         dec,
-        header: &header,
         consumed,
-        next_stop: stop.saturating_add(cont.every_cycles),
-        cont,
+        stop,
     };
-
-    let rows = header.config.rows;
-    let (outcome, events) = match header.front_end {
-        FrontEndKind::Sim => with_policy!(header.policy, experiment.plan(), |p| {
-            let sim = Simulator::new(SimConfig::with_rows(rows), p);
-            let outcome = point.run(sim, trace, &mut NullObserver)?;
-            (outcome.map(ResumedStats::Sim), None)
-        }),
-        FrontEndKind::FrFcfs => with_policy!(header.policy, experiment.plan(), |p| {
-            let ctl = FrFcfsController::new(SimConfig::with_rows(rows), p, header.queue_depth)?;
-            let outcome = point.run(ctl, trace, &mut NullObserver)?;
-            (outcome.map(ResumedStats::FrFcfs), None)
-        }),
-        FrontEndKind::Sched => {
-            let shape = header.sched.ok_or(Error::Snapshot(SnapError::Malformed {
-                what: "scheduler snapshot lacks its geometry".to_owned(),
-            }))?;
-            let sched = shape.to_config()?;
-            with_policy!(header.policy, experiment.plan(), |p| {
-                let engine = Scheduler::new(sched, p)?;
-                if header.traced {
-                    let policy = header.policy.name();
-                    let mut recorder =
-                        Recorder::new(&header.benchmark, policy, sched.rows_per_bank());
-                    let outcome = point.run(engine, trace, &mut recorder)?;
-                    let completed = matches!(outcome, CheckpointOutcome::Completed(_));
-                    (
-                        outcome.map(ResumedStats::Sched),
-                        completed.then(|| recorder.finish()),
-                    )
-                } else {
-                    let outcome = point.run(engine, trace, &mut NullObserver)?;
-                    (outcome.map(ResumedStats::Sched), None)
-                }
-            })
+    let (outcome, events) = match run_engine(&experiment, &header, cont, Some(restore))? {
+        CheckpointOutcome::Completed((stats, events)) => {
+            (CheckpointOutcome::Completed(stats), events)
+        }
+        CheckpointOutcome::Halted { checkpoints } => {
+            (CheckpointOutcome::Halted { checkpoints }, None)
         }
     };
     Ok(ResumeReport {
-        front_end: header.front_end,
-        benchmark: header.benchmark.clone(),
+        front_end: header.spec,
+        benchmark: header.benchmark,
         policy: header.policy,
         outcome,
         events,

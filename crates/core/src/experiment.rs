@@ -95,6 +95,63 @@ impl PolicyKind {
     }
 }
 
+/// Which engine a run uses, with its shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EngineSpec {
+    /// The single-bank [`Simulator`].
+    Sim,
+    /// The single-bank FR-FCFS controller
+    /// ([`vrl_dram_sim::controller::FrFcfsController`]).
+    FrFcfs {
+        /// Request-queue depth.
+        queue_depth: usize,
+    },
+    /// The multi-bank [`Scheduler`] with its configuration.
+    Sched(SchedConfig),
+}
+
+impl EngineSpec {
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            EngineSpec::Sim => "sim",
+            EngineSpec::FrFcfs { .. } => "frfcfs",
+            EngineSpec::Sched(_) => "sched",
+        }
+    }
+}
+
+/// The statistics one run produced, by engine.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// Single-bank simulator counters.
+    Sim(SimStats),
+    /// FR-FCFS controller counters.
+    FrFcfs(ControllerStats),
+    /// Scheduler counters (single channel or merged DIMM shards).
+    Sched(SchedStats),
+    /// Fault-injected run outcome.
+    Faulted(FaultedOutcome),
+}
+
+impl From<SimStats> for Outcome {
+    fn from(stats: SimStats) -> Self {
+        Outcome::Sim(stats)
+    }
+}
+
+impl From<ControllerStats> for Outcome {
+    fn from(stats: ControllerStats) -> Self {
+        Outcome::FrFcfs(stats)
+    }
+}
+
+impl From<SchedStats> for Outcome {
+    fn from(stats: SchedStats) -> Self {
+        Outcome::Sched(stats)
+    }
+}
+
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -276,7 +333,14 @@ impl Experiment {
         Ok(self.trace(benchmark)?.collect())
     }
 
-    pub(crate) fn trace(&self, benchmark: &str) -> Result<vrl_trace::gen::Records, Error> {
+    /// Streams one benchmark's deterministic trace, regenerating it from
+    /// the experiment's seed — the records [`Experiment::run_policy`]
+    /// et al. consume.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
+    pub fn trace(&self, benchmark: &str) -> Result<vrl_trace::gen::Records, Error> {
         let spec = WorkloadSpec::parsec(benchmark).ok_or_else(|| Error::UnknownWorkload {
             requested: benchmark.to_owned(),
             known: WorkloadSpec::BENCHMARKS
@@ -797,12 +861,26 @@ impl Experiment {
         guard: Option<&GuardConfig>,
     ) -> Result<FaultedOutcome, Error> {
         let trace = self.trace(benchmark)?;
+        Ok(self.run_faulted_with(kind, trace, faults, guard))
+    }
+
+    /// [`Experiment::run_faulted`] over an explicit trace.
+    pub fn run_faulted_with<I>(
+        &self,
+        kind: PolicyKind,
+        trace: I,
+        faults: &FaultConfig,
+        guard: Option<&GuardConfig>,
+    ) -> FaultedOutcome
+    where
+        I: Iterator<Item = TraceRecord>,
+    {
         let profiled: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
         let timing = TimingParams::paper_default();
         let injector = FaultInjector::new(*faults, &profiled, timing);
-        Ok(with_policy!(kind, self.plan, |p| {
+        with_policy!(kind, self.plan, |p| {
             self.faulted_run(p, trace, injector, guard)
-        }))
+        })
     }
 
     fn faulted_run<P, I>(

@@ -60,12 +60,11 @@ pub mod supervise;
 pub mod tau;
 pub mod vrt_adapt;
 
-pub use checkpoint::{
-    resume, CheckpointConfig, CheckpointOutcome, FrontEndKind, ResumeReport, ResumedStats,
-};
+pub use checkpoint::{resume, CheckpointConfig, CheckpointOutcome, ResumeReport};
 pub use error::Error;
 pub use experiment::{
-    ComparisonRow, DimmRun, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell, PolicyKind,
+    ComparisonRow, DimmRun, EngineSpec, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell,
+    Outcome, PolicyKind,
 };
 pub use mprsf::{Mprsf, MprsfCalculator};
 pub use plan::RefreshPlan;

@@ -91,6 +91,10 @@ where
         s.max_queue_depth, c.max_queue_depth,
         "queue depth diverged ({what})"
     );
+    assert_eq!(
+        s.queue_stalls, c.queue_stalls,
+        "queue stalls diverged ({what})"
+    );
     assert_eq!(s.pulled_in_refreshes, 0, "pull-in must be off");
 }
 

@@ -76,8 +76,10 @@ use std::process::ExitCode;
 use vrl_circuit::model::AnalyticalModel;
 use vrl_circuit::tech::{BankGeometry, Technology};
 use vrl_circuit::trfc::{CycleBudget, RefreshKind};
-use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome, ResumeReport, ResumedStats};
-use vrl_dram::experiment::{sched_metrics, sim_metrics, Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome, ResumeReport};
+use vrl_dram::experiment::{
+    sched_metrics, sim_metrics, EngineSpec, Experiment, ExperimentConfig, Outcome, PolicyKind,
+};
 use vrl_dram::mprsf::{Mprsf, MprsfCalculator};
 use vrl_dram::plan::RefreshPlan;
 use vrl_obs::{chrome_trace_json, validate_chrome_trace, MetricsSnapshot};
@@ -301,7 +303,7 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
             Err(code) => return Ok(code),
         };
         return Ok(match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sim(stats)) => {
+            CheckpointOutcome::Completed(Outcome::Sim(stats)) => {
                 print_sim_stats(report.policy.name(), &stats);
                 ExitCode::SUCCESS
             }
@@ -338,11 +340,12 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
             ));
         };
         return Ok(
-            match experiment.run_policy_checkpointed(kind, &benchmark, &ckpt) {
-                Ok(CheckpointOutcome::Completed(stats)) => {
+            match experiment.run_checkpointed(&EngineSpec::Sim, kind, &benchmark, false, &ckpt) {
+                Ok(CheckpointOutcome::Completed((Outcome::Sim(stats), _))) => {
                     print_sim_stats(kind.name(), &stats);
                     ExitCode::SUCCESS
                 }
+                Ok(CheckpointOutcome::Completed(_)) => unreachable!("a simulator run"),
                 Ok(CheckpointOutcome::Halted { checkpoints }) => {
                     println!(
                         "halted after {checkpoints} checkpoint(s); resume with \
@@ -464,7 +467,7 @@ fn cmd_sched(args: &[String]) -> CmdResult {
             Err(code) => return Ok(code),
         };
         return Ok(match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+            CheckpointOutcome::Completed(Outcome::Sched(stats)) => {
                 print_sched_stats(report.policy.name(), &stats);
                 if let Some(path) = flag_value(args, "--metrics")? {
                     if !write_metrics(&path, &sched_metrics(&stats)) {
@@ -537,8 +540,14 @@ fn cmd_sched(args: &[String]) -> CmdResult {
             ));
         };
         return Ok(
-            match experiment.run_scheduled_checkpointed(kind, &benchmark, sched, &ckpt) {
-                Ok(CheckpointOutcome::Completed(stats)) => {
+            match experiment.run_checkpointed(
+                &EngineSpec::Sched(sched),
+                kind,
+                &benchmark,
+                false,
+                &ckpt,
+            ) {
+                Ok(CheckpointOutcome::Completed((Outcome::Sched(stats), _))) => {
                     print_sched_stats(kind.name(), &stats);
                     if let Some(path) = flag_value(args, "--metrics")? {
                         if !write_metrics(&path, &sched_metrics(&stats)) {
@@ -547,6 +556,7 @@ fn cmd_sched(args: &[String]) -> CmdResult {
                     }
                     ExitCode::SUCCESS
                 }
+                Ok(CheckpointOutcome::Completed(_)) => unreachable!("a scheduler run"),
                 Ok(CheckpointOutcome::Halted { checkpoints }) => {
                     println!(
                         "halted after {checkpoints} checkpoint(s); resume with \
@@ -609,7 +619,7 @@ fn cmd_trace(args: &[String]) -> CmdResult {
             Err(code) => return Ok(code),
         };
         return Ok(match (report.outcome, report.events) {
-            (CheckpointOutcome::Completed(ResumedStats::Sched(stats)), Some(stream)) => {
+            (CheckpointOutcome::Completed(Outcome::Sched(stats)), Some(stream)) => {
                 let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
                 let json = chrome_trace_json(
                     &stream.events,
@@ -673,8 +683,12 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         }
     };
     let (stats, stream) = if let Some(ckpt) = checkpoint_flags(args)? {
-        match experiment.run_scheduled_traced_checkpointed(kind, &benchmark, sched, &ckpt) {
-            Ok(CheckpointOutcome::Completed(out)) => out,
+        match experiment.run_checkpointed(&EngineSpec::Sched(sched), kind, &benchmark, true, &ckpt)
+        {
+            Ok(CheckpointOutcome::Completed((Outcome::Sched(stats), Some(stream)))) => {
+                (stats, stream)
+            }
+            Ok(CheckpointOutcome::Completed(_)) => unreachable!("a traced scheduler run"),
             Ok(CheckpointOutcome::Halted { checkpoints }) => {
                 println!(
                     "halted after {checkpoints} checkpoint(s); resume with \

@@ -2,24 +2,27 @@
 //!
 //! The result frame is a **pure function of the spec**: no job ids, no
 //! timestamps, no cache provenance. That is what makes the served path
-//! byte-comparable to a direct run — [`run_with_cache`] (shared
-//! artifacts, span-segmented engines, progress callbacks) and
-//! [`direct_result`] (fresh [`Experiment`], plain unsegmented runs)
-//! must return identical strings for every spec, and the crate's tests
+//! byte-comparable to a direct run. Both paths go through one dispatch
+//! over the wire [`FrontEnd`] and differ only in what they feed it:
+//! [`run_with_cache`] passes cache-shared artifacts, the cached trace
+//! and a span cadence with progress callbacks; [`direct_result`] passes
+//! a fresh [`Experiment`], a streamed trace and no spans. The two must
+//! return identical strings for every spec, and the crate's tests
 //! assert exactly that per front end.
 
-use vrl_dram::experiment::{sched_metrics, sim_metrics, Experiment, FaultedOutcome};
+use vrl_dram::experiment::{sched_metrics, sim_metrics, Experiment};
 use vrl_dram::spans::SpanProgress;
 use vrl_dram::Error;
-use vrl_dram_sim::controller::ControllerStats;
 use vrl_dram_sim::fault::FaultConfig;
 use vrl_dram_sim::guard::GuardConfig;
-use vrl_dram_sim::SimStats;
 use vrl_obs::PhaseProfiler;
 use vrl_sched::SchedStats;
+use vrl_trace::TraceRecord;
 
 use crate::cache::ArtifactCache;
 use crate::spec::{FrontEnd, JobSpec};
+
+pub use vrl_dram::Outcome;
 
 /// Profiler phase: fetching/building cached artifacts (experiment
 /// config, refresh plans, benchmark traces).
@@ -28,19 +31,6 @@ pub const PHASE_ARTIFACT_BUILD: &str = "artifact_build";
 pub const PHASE_RUN: &str = "run";
 /// Profiler phase: rendering the result frame.
 pub const PHASE_SERIALIZE: &str = "serialize";
-
-/// The statistics one front end produces.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Single-bank simulator counters.
-    Sim(SimStats),
-    /// FR-FCFS controller counters.
-    FrFcfs(ControllerStats),
-    /// Scheduler counters (single channel or merged DIMM shards).
-    Sched(SchedStats),
-    /// Fault-injected run outcome.
-    Faulted(FaultedOutcome),
-}
 
 /// Renders the deterministic result frame for a spec and its outcome:
 /// `{"type":"result","spec_hash":...,"front_end":...,"stats":...,"metrics":...}`.
@@ -100,109 +90,34 @@ pub fn run_with_cache_profiled<F>(
     cache: &ArtifactCache,
     spec: &JobSpec,
     span_cycles: u64,
-    mut on_span: F,
+    on_span: F,
     profiler: &mut PhaseProfiler,
 ) -> Result<String, Error>
 where
     F: FnMut(SpanProgress),
 {
-    let experiment = {
+    let (experiment, trace) = {
         let _span = profiler.span(PHASE_ARTIFACT_BUILD);
-        cache.experiment(spec.config)
+        let experiment = cache.experiment(spec.config);
+        let trace = cache.trace(&experiment, &spec.benchmark)?;
+        (experiment, trace)
     };
-    let outcome = match spec.front_end {
-        FrontEnd::Sim => {
-            let trace = {
-                let _span = profiler.span(PHASE_ARTIFACT_BUILD);
-                cache.trace(&experiment, &spec.benchmark)?
-            };
-            let _span = profiler.span(PHASE_RUN);
-            Outcome::Sim(experiment.run_policy_spanned_with(
-                spec.policy,
-                trace.iter().copied(),
-                span_cycles,
-                &mut on_span,
-            ))
-        }
-        FrontEnd::FrFcfs { queue_depth } => {
-            let trace = {
-                let _span = profiler.span(PHASE_ARTIFACT_BUILD);
-                cache.trace(&experiment, &spec.benchmark)?
-            };
-            let _span = profiler.span(PHASE_RUN);
-            Outcome::FrFcfs(experiment.run_frfcfs_spanned_with(
-                spec.policy,
-                trace.iter().copied(),
-                queue_depth,
-                span_cycles,
-                &mut on_span,
-            )?)
-        }
-        FrontEnd::Sched { banks } => {
-            let (trace, sched) = {
-                let _span = profiler.span(PHASE_ARTIFACT_BUILD);
-                (
-                    cache.trace(&experiment, &spec.benchmark)?,
-                    experiment.sched_config(banks)?,
-                )
-            };
-            let _span = profiler.span(PHASE_RUN);
-            Outcome::Sched(experiment.run_scheduled_spanned_with(
-                spec.policy,
-                sched,
-                trace.iter().copied(),
-                span_cycles,
-                &mut on_span,
-            )?)
-        }
-        FrontEnd::Dimm {
-            channels,
-            ranks,
-            banks_per_rank,
-        } => {
-            let (trace, sched) = {
-                let _span = profiler.span(PHASE_ARTIFACT_BUILD);
-                (
-                    cache.trace(&experiment, &spec.benchmark)?,
-                    experiment.dimm_config(channels, ranks, banks_per_rank)?,
-                )
-            };
-            let _span = profiler.span(PHASE_RUN);
-            let mut merged = SchedStats::default();
-            for channel in 0..channels {
-                let shard = experiment.run_dimm_channel_spanned_with(
-                    spec.policy,
-                    sched,
-                    channel,
-                    trace.iter().copied(),
-                    span_cycles,
-                    &mut on_span,
-                )?;
-                merged = merged.merge(&shard);
-            }
-            Outcome::Sched(merged)
-        }
-        FrontEnd::Faulted { fault_seed, guard } => {
-            // The fault injector owns its trace walk and has no span
-            // seam; faulted jobs run unsegmented (no progress frames)
-            // and bypass the trace cache.
-            let faults = FaultConfig::default_scenario(fault_seed);
-            let guard_config = guard.then(GuardConfig::default);
-            let _span = profiler.span(PHASE_RUN);
-            Outcome::Faulted(experiment.run_faulted(
-                spec.policy,
-                &spec.benchmark,
-                &faults,
-                guard_config.as_ref(),
-            )?)
-        }
+    let outcome = {
+        let _span = profiler.span(PHASE_RUN);
+        run_spec(
+            &experiment,
+            spec,
+            || Ok(trace.iter().copied()),
+            span_cycles,
+            on_span,
+        )?
     };
     let _span = profiler.span(PHASE_SERIALIZE);
     Ok(result_frame(spec, &outcome))
 }
 
-/// Runs a spec directly: fresh [`Experiment`], plain unsegmented
-/// engines, no caching, no progress. The reference the served path is
+/// Runs a spec directly: fresh [`Experiment`], streamed trace, one
+/// span, no caching, no progress. The reference the served path is
 /// byte-compared against (`vrl submit --direct` and the bit-identity
 /// tests).
 ///
@@ -211,37 +126,73 @@ where
 /// Returns [`Error`] exactly when [`run_with_cache`] would.
 pub fn direct_result(spec: &JobSpec) -> Result<String, Error> {
     let experiment = Experiment::new(spec.config);
-    let outcome = match spec.front_end {
-        FrontEnd::Sim => Outcome::Sim(experiment.run_policy(spec.policy, &spec.benchmark)?),
-        FrontEnd::FrFcfs { queue_depth } => {
-            Outcome::FrFcfs(experiment.run_frfcfs(spec.policy, &spec.benchmark, queue_depth)?)
+    let trace = || experiment.trace(&spec.benchmark);
+    let outcome = run_spec(&experiment, spec, trace, 0, |_| {})?;
+    Ok(result_frame(spec, &outcome))
+}
+
+/// The one dispatch over the wire front ends: runs `spec` on
+/// `experiment` over the records `trace` yields (called once per engine
+/// run), pausing every `span_cycles` cycles (`0` = one span) to report
+/// progress to `on_span`.
+fn run_spec<T, I, F>(
+    experiment: &Experiment,
+    spec: &JobSpec,
+    trace: T,
+    span_cycles: u64,
+    mut on_span: F,
+) -> Result<Outcome, Error>
+where
+    T: Fn() -> Result<I, Error>,
+    I: Iterator<Item = TraceRecord>,
+    F: FnMut(SpanProgress),
+{
+    let kind = spec.policy;
+    Ok(match spec.front_end {
+        FrontEnd::Sim => {
+            Outcome::Sim(experiment.run_policy_spanned_with(kind, trace()?, span_cycles, on_span))
         }
-        FrontEnd::Sched { banks } => {
-            let sched = experiment.sched_config(banks)?;
-            Outcome::Sched(experiment.run_scheduled(spec.policy, &spec.benchmark, sched)?)
-        }
+        FrontEnd::FrFcfs { queue_depth } => Outcome::FrFcfs(experiment.run_frfcfs_spanned_with(
+            kind,
+            trace()?,
+            queue_depth,
+            span_cycles,
+            on_span,
+        )?),
+        FrontEnd::Sched { banks } => Outcome::Sched(experiment.run_scheduled_spanned_with(
+            kind,
+            experiment.sched_config(banks)?,
+            trace()?,
+            span_cycles,
+            on_span,
+        )?),
         FrontEnd::Dimm {
             channels,
             ranks,
             banks_per_rank,
         } => {
             let sched = experiment.dimm_config(channels, ranks, banks_per_rank)?;
-            Outcome::Sched(
-                experiment
-                    .run_dimm_serial(spec.policy, &spec.benchmark, sched)?
-                    .stats,
-            )
+            let mut merged = SchedStats::default();
+            for channel in 0..channels {
+                let shard = experiment.run_dimm_channel_spanned_with(
+                    kind,
+                    sched,
+                    channel,
+                    trace()?,
+                    span_cycles,
+                    &mut on_span,
+                )?;
+                merged = merged.merge(&shard);
+            }
+            Outcome::Sched(merged)
         }
-        FrontEnd::Faulted { fault_seed, guard } => {
-            let faults = FaultConfig::default_scenario(fault_seed);
-            let guard_config = guard.then(GuardConfig::default);
-            Outcome::Faulted(experiment.run_faulted(
-                spec.policy,
-                &spec.benchmark,
-                &faults,
-                guard_config.as_ref(),
-            )?)
-        }
-    };
-    Ok(result_frame(spec, &outcome))
+        // The fault injector owns its trace walk and has no span seam:
+        // faulted jobs run unsegmented, with no progress callbacks.
+        FrontEnd::Faulted { fault_seed, guard } => Outcome::Faulted(experiment.run_faulted_with(
+            kind,
+            trace()?,
+            &FaultConfig::default_scenario(fault_seed),
+            guard.then(GuardConfig::default).as_ref(),
+        )),
+    })
 }

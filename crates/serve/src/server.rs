@@ -20,8 +20,8 @@
 //! it guards are consistent at every panic point).
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -180,6 +180,8 @@ struct ServerInner {
     quarantined: AtomicU64,
     /// Connections currently open (admission-control gauge).
     open_conns: AtomicUsize,
+    /// Shed connections currently in a detached lingering close.
+    lingering: AtomicUsize,
     shed_conns: AtomicU64,
     shed_jobs: AtomicU64,
     shed_long_lines: AtomicU64,
@@ -661,6 +663,7 @@ impl ServerInner {
                             &format!("request line exceeds {} bytes", self.limits.max_line_bytes),
                         ),
                     );
+                    linger_close(&writer);
                     break;
                 }
                 LineOutcome::TimedOut => {
@@ -677,6 +680,7 @@ impl ServerInner {
                             ),
                         ),
                     );
+                    linger_close(&writer);
                     break;
                 }
             };
@@ -688,6 +692,7 @@ impl ServerInner {
                     &mut writer,
                     &protocol::error_frame("server is shutting down"),
                 );
+                linger_close(&writer);
                 break;
             }
             match protocol::parse_request(&line) {
@@ -865,6 +870,56 @@ impl ServerInner {
     }
 }
 
+/// How long a rejected connection's unread input is drained after its
+/// reject frame before the socket closes (see [`linger_close`]).
+const LINGER: Duration = Duration::from_millis(500);
+/// Detached lingering closes allowed at once; past this, a shed
+/// connection closes immediately.
+const MAX_LINGERING: usize = 64;
+
+/// Closes a connection after its reject frame without losing the frame.
+/// Closing a socket with unread input still queued makes the kernel send
+/// an RST, which can destroy the frame in the peer's receive buffer
+/// before the peer reads it. So: half-close the write side (the peer
+/// reads the frame, then EOF), discard input until the peer closes or
+/// [`LINGER`] passes, and only then close.
+fn linger_close(mut stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut buf = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if matches!(stream.read(&mut buf), Ok(0) | Err(_)) {
+            break;
+        }
+    }
+}
+
+impl ServerInner {
+    /// A lingering close on a short-lived thread, so the accept loop
+    /// never waits on a peer. Past [`MAX_LINGERING`] concurrent
+    /// lingers, or when no thread can be spawned, the stream closes at
+    /// once.
+    fn linger_detached(self: &Arc<Self>, stream: TcpStream) {
+        if self.lingering.fetch_add(1, Ordering::SeqCst) < MAX_LINGERING {
+            let inner = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name("vrl-serve-linger".to_owned())
+                .spawn(move || {
+                    linger_close(&stream);
+                    inner.lingering.fetch_sub(1, Ordering::SeqCst);
+                });
+            if spawned.is_ok() {
+                return;
+            }
+        }
+        self.lingering.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Decrements the open-connection gauge even if the handler panics.
 struct ConnGuard(Arc<ServerInner>);
 
@@ -914,6 +969,7 @@ impl Server {
             completed: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             open_conns: AtomicUsize::new(0),
+            lingering: AtomicUsize::new(0),
             shed_conns: AtomicU64::new(0),
             shed_jobs: AtomicU64::new(0),
             shed_long_lines: AtomicU64::new(0),
@@ -977,8 +1033,8 @@ impl Server {
                     // per round trip; disable batching (best-effort).
                     let _ = stream.set_nodelay(true);
                     // Connection admission: over the cap, the stream
-                    // gets one typed `busy` frame and a clean close —
-                    // no handler thread, no buffering.
+                    // gets one typed `busy` frame and a lingering close
+                    // off the accept thread — no handler, no buffering.
                     let open = accept_inner.open_conns.load(Ordering::SeqCst);
                     if open >= accept_inner.limits.max_connections {
                         accept_inner.shed(ShedReason::Busy, &accept_inner.shed_conns);
@@ -989,6 +1045,7 @@ impl Server {
                         let _ = stream
                             .write_all(frame.as_bytes())
                             .and_then(|()| stream.write_all(b"\n"));
+                        accept_inner.linger_detached(stream);
                         continue;
                     }
                     accept_inner.open_conns.fetch_add(1, Ordering::SeqCst);

@@ -267,9 +267,9 @@ fn admission_control_sheds_with_typed_frames_and_counts_every_shed() {
         }
         Err(e) => panic!("expected a line_too_long frame, got {e}"),
     }
-    // The server drops the socket with our unread overflow still
-    // queued, so the close surfaces as either a clean EOF or an RST —
-    // both are "connection gone", which is the point.
+    // The server half-closes and drains our unread overflow before
+    // closing, so this surfaces as a clean EOF (or an RST if the drain
+    // bound runs out) — both are "connection gone", which is the point.
     assert!(
         matches!(
             client.ping(),
@@ -337,6 +337,13 @@ fn connection_cap_sheds_the_overflow_connection_with_busy() {
     loop {
         let mut third = Client::connect(&addr).expect("tcp connect succeeds");
         match third.ping() {
+            // The freed slot may not be released yet: the accept loop
+            // then sheds this connection too, and its busy frame
+            // answers the ping.
+            Ok(frame) if protocol::reject_reason(&frame) == Some(ShedReason::Busy) => assert!(
+                Instant::now() < deadline,
+                "slot never freed after disconnect"
+            ),
             Ok(pong) => {
                 assert_eq!(pong, "{\"type\":\"pong\"}");
                 break;

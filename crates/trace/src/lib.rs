@@ -12,9 +12,7 @@
 //!   to bank-local records,
 //! * [`gen`] — parameterized workload generators, with one preset per
 //!   PARSEC benchmark plus `bgsave`, emulating each benchmark's published
-//!   footprint, locality, read/write mix, and intensity,
-//! * [`stats`] — trace statistics (rows touched, reuse, per-window
-//!   coverage) that determine how much VRL-Access can gain.
+//!   footprint, locality, read/write mix, and intensity.
 //!
 //! # Example
 //!
@@ -34,7 +32,6 @@ pub mod format;
 pub mod gen;
 pub mod ramulator;
 pub mod record;
-pub mod stats;
 
 pub use gen::{Workload, WorkloadSpec};
 pub use record::{Op, TraceRecord};

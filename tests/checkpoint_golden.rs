@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome};
-use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::experiment::{EngineSpec, Experiment, ExperimentConfig, PolicyKind};
 
 fn experiment() -> Experiment {
     Experiment::new(ExperimentConfig {
@@ -60,7 +60,13 @@ fn sim_checkpoint_bytes_are_golden() {
     let scratch = Scratch::new("sim");
     assert_halted(
         experiment()
-            .run_policy_checkpointed(PolicyKind::VrlAccess, "swaptions", &scratch.config())
+            .run_checkpointed(
+                &EngineSpec::Sim,
+                PolicyKind::VrlAccess,
+                "swaptions",
+                false,
+                &scratch.config(),
+            )
             .expect("checkpointed run"),
     );
     assert_eq!(scratch.hash(), 0xb080_9237_31bc_090a);
@@ -71,7 +77,13 @@ fn frfcfs_checkpoint_bytes_are_golden() {
     let scratch = Scratch::new("frfcfs");
     assert_halted(
         experiment()
-            .run_frfcfs_checkpointed(PolicyKind::Vrl, "ferret", 8, &scratch.config())
+            .run_checkpointed(
+                &EngineSpec::FrFcfs { queue_depth: 8 },
+                PolicyKind::Vrl,
+                "ferret",
+                false,
+                &scratch.config(),
+            )
             .expect("checkpointed run"),
     );
     assert_eq!(scratch.hash(), 0x068e_45d4_ed7b_62ea);
@@ -83,8 +95,14 @@ fn sched_checkpoint_bytes_are_golden() {
     let sched = exp.sched_config(4).expect("sched config");
     let scratch = Scratch::new("sched");
     assert_halted(
-        exp.run_scheduled_checkpointed(PolicyKind::VrlAccess, "bgsave", sched, &scratch.config())
-            .expect("checkpointed run"),
+        exp.run_checkpointed(
+            &EngineSpec::Sched(sched),
+            PolicyKind::VrlAccess,
+            "bgsave",
+            false,
+            &scratch.config(),
+        )
+        .expect("checkpointed run"),
     );
     assert_eq!(scratch.hash(), 0x571a_f4b4_28f3_1013);
 }
@@ -95,10 +113,11 @@ fn traced_sched_checkpoint_bytes_are_golden() {
     let sched = exp.sched_config(4).expect("sched config");
     let scratch = Scratch::new("sched-traced");
     assert_halted(
-        exp.run_scheduled_traced_checkpointed(
+        exp.run_checkpointed(
+            &EngineSpec::Sched(sched),
             PolicyKind::VrlAccess,
             "ferret",
-            sched,
+            true,
             &scratch.config(),
         )
         .expect("checkpointed run"),
@@ -115,12 +134,19 @@ fn resumed_checkpoint_bytes_are_golden() {
     let sched = exp.sched_config(4).expect("sched config");
     let sim = Scratch::new("sim-resumed");
     let sched_scratch = Scratch::new("sched-resumed");
-    exp.run_policy_checkpointed(PolicyKind::VrlAccess, "swaptions", &sim.config())
-        .expect("first leg");
-    exp.run_scheduled_checkpointed(
+    exp.run_checkpointed(
+        &EngineSpec::Sim,
+        PolicyKind::VrlAccess,
+        "swaptions",
+        false,
+        &sim.config(),
+    )
+    .expect("first leg");
+    exp.run_checkpointed(
+        &EngineSpec::Sched(sched),
         PolicyKind::VrlAccess,
         "bgsave",
-        sched,
+        false,
         &sched_scratch.config(),
     )
     .expect("first leg");

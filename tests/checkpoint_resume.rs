@@ -7,8 +7,8 @@
 
 use std::path::PathBuf;
 
-use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome, FrontEndKind, ResumedStats};
-use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome};
+use vrl_dram::experiment::{EngineSpec, Experiment, ExperimentConfig, Outcome, PolicyKind};
 use vrl_dram::Error;
 
 fn experiment() -> Experiment {
@@ -52,7 +52,13 @@ fn sim_resume_is_bit_identical_at_arbitrary_kill_cycles() {
         let scratch = Scratch::new(&format!("sim-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_policy_checkpointed(PolicyKind::VrlAccess, "swaptions", &ckpt)
+            .run_checkpointed(
+                &EngineSpec::Sim,
+                PolicyKind::VrlAccess,
+                "swaptions",
+                false,
+                &ckpt,
+            )
             .expect("checkpointed run");
         assert_eq!(
             halted,
@@ -60,11 +66,11 @@ fn sim_resume_is_bit_identical_at_arbitrary_kill_cycles() {
             "cadence {cadence} must halt mid-run"
         );
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::Sim);
+        assert_eq!(report.front_end, EngineSpec::Sim);
         assert_eq!(report.benchmark, "swaptions");
         assert_eq!(report.policy, PolicyKind::VrlAccess);
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sim(stats)) => {
+            CheckpointOutcome::Completed(Outcome::Sim(stats)) => {
                 assert_eq!(stats, reference, "kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed sim stats, got {other:?}"),
@@ -83,13 +89,19 @@ fn frfcfs_resume_is_bit_identical_at_arbitrary_kill_cycles() {
         let scratch = Scratch::new(&format!("frfcfs-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_frfcfs_checkpointed(PolicyKind::Vrl, "ferret", queue_depth, &ckpt)
+            .run_checkpointed(
+                &EngineSpec::FrFcfs { queue_depth },
+                PolicyKind::Vrl,
+                "ferret",
+                false,
+                &ckpt,
+            )
             .expect("checkpointed run");
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::FrFcfs);
+        assert_eq!(report.front_end, EngineSpec::FrFcfs { queue_depth });
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::FrFcfs(stats)) => {
+            CheckpointOutcome::Completed(Outcome::FrFcfs(stats)) => {
                 assert_eq!(stats, reference, "kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed controller stats, got {other:?}"),
@@ -108,13 +120,19 @@ fn sched_resume_is_bit_identical_at_arbitrary_kill_cycles() {
         let scratch = Scratch::new(&format!("sched-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_scheduled_checkpointed(PolicyKind::VrlAccess, "bgsave", sched, &ckpt)
+            .run_checkpointed(
+                &EngineSpec::Sched(sched),
+                PolicyKind::VrlAccess,
+                "bgsave",
+                false,
+                &ckpt,
+            )
             .expect("checkpointed run");
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::Sched);
+        assert_eq!(report.front_end, EngineSpec::Sched(sched));
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+            CheckpointOutcome::Completed(Outcome::Sched(stats)) => {
                 assert_eq!(stats, reference, "kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -136,13 +154,19 @@ fn dimm_sched_resume_is_bit_identical_at_arbitrary_kill_cycles() {
         let scratch = Scratch::new(&format!("dimm-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_scheduled_checkpointed(PolicyKind::VrlAccess, "bgsave", sched, &ckpt)
+            .run_checkpointed(
+                &EngineSpec::Sched(sched),
+                PolicyKind::VrlAccess,
+                "bgsave",
+                false,
+                &ckpt,
+            )
             .expect("checkpointed run");
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::Sched);
+        assert_eq!(report.front_end, EngineSpec::Sched(sched));
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+            CheckpointOutcome::Completed(Outcome::Sched(stats)) => {
                 assert_eq!(stats, reference, "DIMM kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -163,7 +187,13 @@ fn resume_survives_multiple_kills_in_one_run() {
     let scratch = Scratch::new("multi-kill");
     let ckpt = CheckpointConfig::new(&scratch.0, 9_000_000).with_halt_after(1);
     let halted = exp
-        .run_scheduled_checkpointed(PolicyKind::Vrl, "swaptions", sched, &ckpt)
+        .run_checkpointed(
+            &EngineSpec::Sched(sched),
+            PolicyKind::Vrl,
+            "swaptions",
+            false,
+            &ckpt,
+        )
         .expect("first leg");
     assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
     let report = vrl_dram::checkpoint::resume(&scratch.0, Some(&ckpt)).expect("second leg");
@@ -174,7 +204,7 @@ fn resume_survives_multiple_kills_in_one_run() {
     );
     let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("final leg");
     match report.outcome {
-        CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+        CheckpointOutcome::Completed(Outcome::Sched(stats)) => {
             assert_eq!(stats, reference);
         }
         other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -191,7 +221,13 @@ fn traced_resume_reproduces_the_identical_event_stream() {
     let scratch = Scratch::new("traced");
     let ckpt = CheckpointConfig::new(&scratch.0, 13_000_000).with_halt_after(1);
     let halted = exp
-        .run_scheduled_traced_checkpointed(PolicyKind::VrlAccess, "ferret", sched, &ckpt)
+        .run_checkpointed(
+            &EngineSpec::Sched(sched),
+            PolicyKind::VrlAccess,
+            "ferret",
+            true,
+            &ckpt,
+        )
         .expect("checkpointed traced run");
     assert!(matches!(
         halted,
@@ -200,7 +236,7 @@ fn traced_resume_reproduces_the_identical_event_stream() {
     let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
     let stream = report.events.expect("traced snapshot resumes with events");
     match report.outcome {
-        CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+        CheckpointOutcome::Completed(Outcome::Sched(stats)) => {
             assert_eq!(stats, ref_stats);
         }
         other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -216,7 +252,7 @@ fn corrupt_snapshots_are_typed_errors() {
     let exp = experiment();
     let scratch = Scratch::new("corrupt");
     let ckpt = CheckpointConfig::new(&scratch.0, 5_000_000).with_halt_after(1);
-    exp.run_policy_checkpointed(PolicyKind::Vrl, "swaptions", &ckpt)
+    exp.run_checkpointed(&EngineSpec::Sim, PolicyKind::Vrl, "swaptions", false, &ckpt)
         .expect("checkpointed run");
     let good = std::fs::read(&scratch.0).expect("snapshot bytes");
 
@@ -254,7 +290,7 @@ fn zero_cadence_is_rejected() {
     let scratch = Scratch::new("zero");
     let ckpt = CheckpointConfig::new(&scratch.0, 0);
     assert!(matches!(
-        exp.run_policy_checkpointed(PolicyKind::Vrl, "swaptions", &ckpt),
+        exp.run_checkpointed(&EngineSpec::Sim, PolicyKind::Vrl, "swaptions", false, &ckpt),
         Err(Error::Snapshot(vrl_snap::SnapError::Malformed { .. }))
     ));
 }
