@@ -69,9 +69,8 @@ fn main() {
         for guarded in [false, true] {
             let guard_config = GuardConfig::default();
             let guard = guarded.then_some(&guard_config);
-            let out = experiment
-                .run_faulted(PolicyKind::Vrl, benchmark, &faults, guard)
-                .expect("known benchmark");
+            let trace = experiment.trace(benchmark).expect("known benchmark");
+            let out = experiment.run_faulted_with(PolicyKind::Vrl, trace, &faults, guard);
             let gs = out.guard.unwrap_or_default();
             let ratio =
                 out.stats.refresh_busy_cycles as f64 / fault_free.refresh_busy_cycles as f64;

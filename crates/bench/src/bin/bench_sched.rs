@@ -22,6 +22,7 @@
 use serde::Serialize;
 
 use vrl_dram::experiment::{sched_metrics, Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram_sim::sim::NullObserver;
 use vrl_exec::ExecConfig;
 use vrl_obs::{MetricsRegistry, MetricsSnapshot};
 
@@ -91,15 +92,16 @@ fn main() {
     let frfcfs_busy = registry.counter("bench.frfcfs_refresh_busy_proxy");
     let sched_blocked_ctr = registry.counter("bench.sched_refresh_blocked");
     let mut sched_merged = MetricsSnapshot::default();
+    let trace = || experiment.trace(&benchmark).unwrap_or_else(|e| fail(&e));
     for kind in PolicyKind::ALL {
         let in_order = experiment
             .run_policy(kind, &benchmark)
             .unwrap_or_else(|e| fail(&e));
         let frfcfs = experiment
-            .run_frfcfs(kind, &benchmark, sched.queue_depth)
+            .run_frfcfs_with(kind, trace(), sched.queue_depth)
             .unwrap_or_else(|e| fail(&e));
         let scheduled = experiment
-            .run_scheduled(kind, &benchmark, sched)
+            .run_scheduled_with(kind, sched, trace(), &mut NullObserver)
             .unwrap_or_else(|e| fail(&e));
         // Single-bank front ends cannot steer refreshes away from
         // demand: every refresh cycle is demand-visible whenever any
@@ -167,9 +169,11 @@ fn main() {
     let bit_identical = serial == pooled;
     println!("determinism ({workers} workers): bit-identical = {bit_identical}");
 
-    let (_, violations) = experiment
-        .run_scheduled_checked(PolicyKind::VrlAccess, &benchmark, sched)
+    let mut checker = experiment.integrity_checker();
+    experiment
+        .run_scheduled_with(PolicyKind::VrlAccess, sched, trace(), &mut checker)
         .unwrap_or_else(|e| fail(&e));
+    let violations = checker.violations().len();
     println!("integrity violations under parallelized VRL-Access: {violations}");
 
     // Supervised execution: the same matrix under the retry / deadline /

@@ -209,7 +209,8 @@ fn main() {
     for benchmark in benchmarks {
         for &kind in &policies {
             let stats = experiment
-                .run_frfcfs(kind, benchmark, 32)
+                .trace(benchmark)
+                .and_then(|trace| experiment.run_frfcfs_with(kind, trace, 32))
                 .unwrap_or_else(|e| {
                     eprintln!("error: {e}");
                     std::process::exit(1);

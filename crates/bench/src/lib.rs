@@ -21,8 +21,9 @@
 //! | `ablation_locality` | trace-locality sensitivity of VRL-Access |
 //! | `ablation_faults` | fault rate × runtime guard: overhead vs data loss |
 //!
-//! Criterion benches (`cargo bench`) time the underlying machinery:
-//! `fig1_charge`, `fig4_policies`, `table1_presensing`, `model_vs_spice`.
+//! Timing lives in the `bench_throughput` and `bench_sched` binaries
+//! and in the repo benchmark, the self-contained `perfbench/` package
+//! (`cargo run --release --manifest-path perfbench/Cargo.toml`).
 
 #![warn(missing_docs)]
 

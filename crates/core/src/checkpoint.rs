@@ -364,14 +364,18 @@ macro_rules! with_engine {
 }
 
 /// Runs the engine `header` names over `experiment`'s trace, fresh or
-/// restored from a snapshot, writing checkpoints on `ckpt`'s cadence —
-/// the one path behind [`Experiment::run_checkpointed`] and [`resume`].
+/// restored from a snapshot, writing checkpoints on `ckpt`'s cadence
+/// (`None` runs straight through) — the one path behind
+/// [`Experiment::run`] and [`resume`].
 fn run_engine(
     experiment: &Experiment,
     header: &Header,
-    ckpt: &CheckpointConfig,
+    ckpt: Option<&CheckpointConfig>,
     restore: Option<Restore<'_>>,
 ) -> Result<CheckpointOutcome<(Outcome, Option<EventStream>)>, Error> {
+    if let Some(ckpt) = ckpt {
+        ckpt.validated()?;
+    }
     let trace = experiment.trace(&header.benchmark)?;
     let rows_per_bank = match header.spec {
         EngineSpec::Sched(config) => config.rows_per_bank(),
@@ -400,12 +404,13 @@ fn run_engine(
 /// `observer` — with the checkpointing `on_pause` hook: every pause
 /// seals a snapshot and writes it atomically to
 /// [`CheckpointConfig::path`], and the run halts once
-/// [`CheckpointConfig::halt_after`] snapshots are written.
+/// [`CheckpointConfig::halt_after`] snapshots are written. Without a
+/// `ckpt` the cadence is past the horizon, so the run never pauses.
 fn checkpointed<E, I, O>(
     mut engine: E,
     trace: I,
     header: &Header,
-    ckpt: &CheckpointConfig,
+    ckpt: Option<&CheckpointConfig>,
     restore: Option<Restore<'_>>,
     observer: &mut O,
 ) -> Result<CheckpointOutcome<E::Stats>, Error>
@@ -414,8 +419,9 @@ where
     I: Iterator<Item = TraceRecord>,
     O: ObserverState,
 {
+    let every = ckpt.map_or(u64::MAX, |c| c.every_cycles);
     let (cursor, consumed, first_stop) = match restore {
-        None => (E::Cursor::default(), 0, ckpt.every_cycles),
+        None => (E::Cursor::default(), 0, every),
         Some(Restore {
             mut dec,
             consumed,
@@ -423,7 +429,7 @@ where
         }) => {
             let cursor = engine.restore_state(&mut dec, consumed)?;
             observer.restore_obs(&mut dec)?;
-            (cursor, consumed, stop.saturating_add(ckpt.every_cycles))
+            (cursor, consumed, stop.saturating_add(every))
         }
     };
     let end = TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
@@ -434,9 +440,12 @@ where
         trace.skip(consumed as usize),
         end,
         first_stop,
-        ckpt.every_cycles,
+        every,
         observer,
         |engine, cursor, observer, stop| {
+            let Some(ckpt) = ckpt else {
+                return Ok(ControlFlow::Continue(()));
+            };
             let payload = seal_payload(header, stop, engine, cursor, observer);
             vrl_snap::write_atomic(&ckpt.path, &payload)?;
             written += 1;
@@ -456,17 +465,19 @@ where
 }
 
 impl Experiment {
-    /// Runs `benchmark` under policy `kind` on the engine `spec` names,
-    /// with crash-consistent checkpoints: the run pauses every
-    /// [`CheckpointConfig::every_cycles`] and atomically snapshots its
-    /// full state to [`CheckpointConfig::path`]. With `traced`, an event
-    /// [`Recorder`] observes the run and its ring is part of every
-    /// snapshot, so a resumed traced run produces the identical event
-    /// stream.
+    /// Runs `benchmark` under policy `kind` on the engine `spec` names —
+    /// the one benchmark-level entry point. With `traced`, an event
+    /// [`Recorder`] observes the run and its stream comes back with the
+    /// statistics. With a `ckpt`, the run is crash-consistent: it pauses
+    /// every [`CheckpointConfig::every_cycles`] and atomically snapshots
+    /// its full state (the recorder's ring included) to
+    /// [`CheckpointConfig::path`], so a resumed run reproduces the
+    /// identical statistics and events. Without one it runs straight
+    /// through and always completes.
     ///
-    /// A completed run returns its statistics (and, when traced, the
-    /// recorded events), bit-identical to the plain `run_policy`,
-    /// `run_frfcfs` or `run_scheduled` run and its traced form.
+    /// A completed run is bit-identical to the trace-level
+    /// `run_policy_with`, `run_frfcfs_with` or `run_scheduled_with` run
+    /// over [`Experiment::trace`].
     ///
     /// # Errors
     ///
@@ -474,15 +485,14 @@ impl Experiment {
     /// [`Error::Sim`] for an invalid queue depth or scheduler
     /// configuration, and [`Error::Snapshot`] for a zero cadence or a
     /// failed write.
-    pub fn run_checkpointed(
+    pub fn run(
         &self,
         spec: &EngineSpec,
         kind: PolicyKind,
         benchmark: &str,
         traced: bool,
-        ckpt: &CheckpointConfig,
+        ckpt: Option<&CheckpointConfig>,
     ) -> Result<CheckpointOutcome<(Outcome, Option<EventStream>)>, Error> {
-        ckpt.validated()?;
         let header = Header {
             spec: *spec,
             benchmark: benchmark.to_owned(),
@@ -533,18 +543,13 @@ pub fn resume(path: &Path, ckpt: Option<&CheckpointConfig>) -> Result<ResumeRepo
     let header = Header::load(&mut dec)?;
     let stop = dec.take_u64()?;
     let consumed = dec.take_u64()?;
-    // Continue checkpointing on the caller's cadence, or run straight
-    // through (a cadence past the horizon never pauses again).
-    let fallback = CheckpointConfig::new(path, u64::MAX);
-    let cont = ckpt.unwrap_or(&fallback);
-    cont.validated()?;
     let experiment = Experiment::new(header.config);
     let restore = Restore {
         dec,
         consumed,
         stop,
     };
-    let (outcome, events) = match run_engine(&experiment, &header, cont, Some(restore))? {
+    let (outcome, events) = match run_engine(&experiment, &header, ckpt, Some(restore))? {
         CheckpointOutcome::Completed((stats, events)) => {
             (CheckpointOutcome::Completed(stats), events)
         }
@@ -669,11 +674,7 @@ impl Experiment {
             }
             let jobs: Vec<(&str, PolicyKind)> = missing.iter().map(|&k| (benchmark, k)).collect();
             let cells = vrl_exec::map_ordered(cfg, &jobs, |_, &(benchmark, kind)| {
-                self.run_policy(kind, benchmark).map(|stats| MatrixCell {
-                    benchmark: benchmark.to_owned(),
-                    policy: kind,
-                    stats,
-                })
+                self.matrix_cell(kind, benchmark)
             })
             .map_err(Error::from)?;
             manifest.cells.extend(cells);

@@ -374,40 +374,14 @@ impl Experiment {
         self.run_sim(kind, trace, observer, 0, |_| {})
     }
 
-    /// Runs one policy against one benchmark on the single-bank front
-    /// end while recording a structured event trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
-    pub fn run_policy_traced(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-    ) -> Result<(SimStats, EventStream), Error> {
-        let trace = self.trace(benchmark)?;
-        let mut recorder = Recorder::single_bank(benchmark, kind.name());
-        let stats = self.run_policy_with(kind, trace, &mut recorder);
-        Ok((stats, recorder.finish()))
-    }
-
-    /// Runs a policy under the integrity checker; returns the stats and
-    /// the number of charge violations (must be 0 for a sound plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
-    pub fn run_checked(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-    ) -> Result<(SimStats, usize), Error> {
-        let trace = self.trace(benchmark)?;
+    /// A ground-truth integrity checker over this experiment's profiled
+    /// retention. Attach it as a run's observer (`run_policy_with`,
+    /// `run_scheduled_with`) and count its
+    /// [`violations`](IntegrityChecker::violations) — 0 for a sound plan.
+    pub fn integrity_checker(&self) -> IntegrityChecker<ModelPhysics> {
         let physics = ModelPhysics::new(&self.model);
         let retention: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
-        let mut checker = IntegrityChecker::new(physics, TimingParams::paper_default(), retention);
-        let stats = self.run_policy_with(kind, trace, &mut checker);
-        Ok((stats, checker.violations().len()))
+        IntegrityChecker::new(physics, TimingParams::paper_default(), retention)
     }
 
     /// The Figure 4 comparison for one benchmark.
@@ -510,16 +484,8 @@ impl Experiment {
         cfg: &ExecConfig,
         policies: &[PolicyKind],
     ) -> Result<(Vec<MatrixCell>, PoolReport), Error> {
-        let jobs: Vec<(&str, PolicyKind)> = WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .collect();
-        let (result, report) = map_ordered_report(cfg, &jobs, |_, &(benchmark, kind)| {
-            self.run_policy(kind, benchmark).map(|stats| MatrixCell {
-                benchmark: benchmark.to_owned(),
-                policy: kind,
-                stats,
-            })
+        let (result, report) = map_ordered_report(cfg, &matrix_jobs(policies), |_, &(b, kind)| {
+            self.matrix_cell(kind, b)
         });
         Ok((result.map_err(Error::from)?, report))
     }
@@ -530,17 +496,24 @@ impl Experiment {
     ///
     /// Propagates the first failing run's [`Error`].
     pub fn run_matrix_serial(&self, policies: &[PolicyKind]) -> Result<Vec<MatrixCell>, Error> {
-        WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .map(|(benchmark, kind)| {
-                self.run_policy(kind, benchmark).map(|stats| MatrixCell {
-                    benchmark: benchmark.to_owned(),
-                    policy: kind,
-                    stats,
-                })
-            })
+        matrix_jobs(policies)
+            .into_iter()
+            .map(|(benchmark, kind)| self.matrix_cell(kind, benchmark))
             .collect()
+    }
+
+    /// One Figure 4 matrix cell: `benchmark` under `kind` on the
+    /// single-bank simulator.
+    pub(crate) fn matrix_cell(
+        &self,
+        kind: PolicyKind,
+        benchmark: &str,
+    ) -> Result<MatrixCell, Error> {
+        Ok(MatrixCell {
+            benchmark: benchmark.to_owned(),
+            policy: kind,
+            stats: self.run_policy(kind, benchmark)?,
+        })
     }
 
     /// A scheduler geometry for this experiment's bank: the configured
@@ -604,13 +577,7 @@ impl Experiment {
     /// steered to other channels are dropped by the shard, and events
     /// come back in a stream labeled `"{benchmark}/ch{channel}"` with
     /// global bank indices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for an out-of-range channel or scheduler
-    /// invariant failure.
-    pub fn run_dimm_channel(
+    fn run_dimm_channel(
         &self,
         kind: PolicyKind,
         benchmark: &str,
@@ -633,7 +600,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// See [`Experiment::run_dimm_channel`].
+    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
+    /// and [`Error::Sim`] for a scheduler invariant failure.
     pub fn run_dimm_serial(
         &self,
         kind: PolicyKind,
@@ -670,23 +638,6 @@ impl Experiment {
         Ok(DimmRun::assemble(shards))
     }
 
-    /// Runs one policy against one benchmark on the FR-FCFS controller
-    /// front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for an invalid queue depth.
-    pub fn run_frfcfs(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        queue_depth: usize,
-    ) -> Result<ControllerStats, Error> {
-        let trace = self.trace(benchmark)?;
-        self.run_frfcfs_with(kind, trace, queue_depth)
-    }
-
     /// Runs a policy on the FR-FCFS controller front end over an
     /// explicit trace.
     ///
@@ -703,24 +654,6 @@ impl Experiment {
         I: Iterator<Item = TraceRecord>,
     {
         self.run_frfcfs_spanned_with(kind, trace, queue_depth, 0, |_| {})
-    }
-
-    /// Runs one policy against one benchmark on the multi-bank command
-    /// scheduler front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for a scheduler configuration or invariant
-    /// failure.
-    pub fn run_scheduled(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<SchedStats, Error> {
-        let trace = self.trace(benchmark)?;
-        self.run_scheduled_with(kind, sched, trace, &mut NullObserver)
     }
 
     /// Runs a policy on the scheduler front end over an explicit trace,
@@ -748,47 +681,6 @@ impl Experiment {
         })
     }
 
-    /// Runs one policy against one benchmark on the scheduler front end
-    /// while recording a structured event trace (per-bank event tracks,
-    /// keyed by the scheduler's row→bank address map).
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_scheduled`].
-    pub fn run_scheduled_traced(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<(SchedStats, EventStream), Error> {
-        let trace = self.trace(benchmark)?;
-        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
-        let stats = self.run_scheduled_with(kind, sched, trace, &mut recorder)?;
-        Ok((stats, recorder.finish()))
-    }
-
-    /// Runs a policy on the scheduler front end under the integrity
-    /// checker; returns the stats and the number of charge violations
-    /// (must be 0 for a sound plan — postponement is bounded by the
-    /// elasticity window, far below any retention margin).
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_scheduled`].
-    pub fn run_scheduled_checked(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<(SchedStats, usize), Error> {
-        let trace = self.trace(benchmark)?;
-        let physics = ModelPhysics::new(&self.model);
-        let retention: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
-        let mut checker = IntegrityChecker::new(physics, TimingParams::paper_default(), retention);
-        let stats = self.run_scheduled_with(kind, sched, trace, &mut checker)?;
-        Ok((stats, checker.violations().len()))
-    }
-
     /// The scheduler-front-end (benchmark × policy) matrix through the
     /// worker pool, in deterministic job order — the scheduled
     /// counterpart of [`Experiment::run_matrix_with`].
@@ -803,17 +695,8 @@ impl Experiment {
         policies: &[PolicyKind],
         sched: SchedConfig,
     ) -> Result<(Vec<SchedCell>, PoolReport), Error> {
-        let jobs: Vec<(&str, PolicyKind)> = WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .collect();
-        let (result, report) = map_ordered_report(cfg, &jobs, |_, &(benchmark, kind)| {
-            self.run_scheduled(kind, benchmark, sched)
-                .map(|stats| SchedCell {
-                    benchmark: benchmark.to_owned(),
-                    policy: kind,
-                    stats,
-                })
+        let (result, report) = map_ordered_report(cfg, &matrix_jobs(policies), |_, &(b, kind)| {
+            self.sched_cell(kind, b, sched)
         });
         Ok((result.map_err(Error::from)?, report))
     }
@@ -828,43 +711,34 @@ impl Experiment {
         policies: &[PolicyKind],
         sched: SchedConfig,
     ) -> Result<Vec<SchedCell>, Error> {
-        WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .map(|(benchmark, kind)| {
-                self.run_scheduled(kind, benchmark, sched)
-                    .map(|stats| SchedCell {
-                        benchmark: benchmark.to_owned(),
-                        policy: kind,
-                        stats,
-                    })
-            })
+        matrix_jobs(policies)
+            .into_iter()
+            .map(|(benchmark, kind)| self.sched_cell(kind, benchmark, sched))
             .collect()
     }
 
-    /// Runs a policy under injected faults, optionally protected by the
-    /// runtime [`Guard`].
+    /// One scheduler-matrix cell: `benchmark`'s trace under `kind`.
+    fn sched_cell(
+        &self,
+        kind: PolicyKind,
+        benchmark: &str,
+        sched: SchedConfig,
+    ) -> Result<SchedCell, Error> {
+        let trace = self.trace(benchmark)?;
+        Ok(SchedCell {
+            benchmark: benchmark.to_owned(),
+            policy: kind,
+            stats: self.run_scheduled_with(kind, sched, trace, &mut NullObserver)?,
+        })
+    }
+
+    /// Runs a policy over an explicit trace under injected faults,
+    /// optionally protected by the runtime [`Guard`].
     ///
     /// Unguarded runs keep the ground-truth [`IntegrityChecker`] attached
     /// so silent data loss is visible in
     /// [`FaultedOutcome::violations`]; guarded runs report corrected /
     /// uncorrected errors through [`FaultedOutcome::guard`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
-    pub fn run_faulted(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        faults: &FaultConfig,
-        guard: Option<&GuardConfig>,
-    ) -> Result<FaultedOutcome, Error> {
-        let trace = self.trace(benchmark)?;
-        Ok(self.run_faulted_with(kind, trace, faults, guard))
-    }
-
-    /// [`Experiment::run_faulted`] over an explicit trace.
     pub fn run_faulted_with<I>(
         &self,
         kind: PolicyKind,
@@ -928,6 +802,15 @@ impl Experiment {
             }
         }
     }
+}
+
+/// Every benchmark in Figure 4 order crossed with `policies`,
+/// benchmark-major — the job list of every matrix run.
+fn matrix_jobs(policies: &[PolicyKind]) -> Vec<(&'static str, PolicyKind)> {
+    WorkloadSpec::BENCHMARKS
+        .iter()
+        .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
+        .collect()
 }
 
 /// Routes one run's [`SimStats`] counters through a fresh metrics
@@ -1043,7 +926,7 @@ impl DimmRun {
     }
 }
 
-/// The result of a fault-injected run ([`Experiment::run_faulted`]).
+/// The result of a fault-injected run ([`Experiment::run_faulted_with`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultedOutcome {
     /// Simulator counters (includes scrub and guard error tallies when
@@ -1061,6 +944,7 @@ pub struct FaultedOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointOutcome;
 
     fn small() -> Experiment {
         Experiment::new(ExperimentConfig {
@@ -1102,7 +986,7 @@ mod tests {
             other => panic!("unexpected error: {other:?}"),
         }
         assert!(e.compare("nope").is_err());
-        assert!(e.run_checked(PolicyKind::Vrl, "nope").is_err());
+        assert!(e.trace("nope").is_err());
     }
 
     #[test]
@@ -1128,8 +1012,13 @@ mod tests {
             .with_slack(0)
             .with_queue_depth(32);
         for kind in PolicyKind::ALL {
-            let s = e.run_scheduled(kind, "ferret", sched).expect("known");
-            let c = e.run_frfcfs(kind, "ferret", 32).expect("known");
+            let trace = e.trace("ferret").expect("known");
+            let s = e
+                .run_scheduled_with(kind, sched, trace, &mut NullObserver)
+                .expect("runs");
+            let c = e
+                .run_frfcfs_with(kind, e.trace("ferret").expect("known"), 32)
+                .expect("runs");
             assert_eq!(s.sim, c.sim, "{} diverged", kind.name());
             assert_eq!(s.reordered, c.reordered);
         }
@@ -1163,10 +1052,16 @@ mod tests {
             ..Default::default()
         });
         let sched = e.sched_config(4).expect("4 banks");
-        let (stats, violations) = e
-            .run_scheduled_checked(PolicyKind::VrlAccess, "ferret", sched)
-            .expect("known");
-        assert_eq!(violations, 0, "parallelized refreshes must stay sound");
+        let trace = e.trace("ferret").expect("known");
+        let mut checker = e.integrity_checker();
+        let stats = e
+            .run_scheduled_with(PolicyKind::VrlAccess, sched, trace, &mut checker)
+            .expect("runs");
+        assert_eq!(
+            checker.violations().len(),
+            0,
+            "parallelized refreshes must stay sound"
+        );
         assert!(stats.sim.total_refreshes() > 0);
     }
 
@@ -1190,9 +1085,10 @@ mod tests {
             ..Default::default()
         });
         let sched = e.dimm_config(2, 2, 4).expect("16 banks");
+        let trace = e.trace("ferret").expect("known");
         let whole = e
-            .run_scheduled(PolicyKind::VrlAccess, "ferret", sched)
-            .expect("known");
+            .run_scheduled_with(PolicyKind::VrlAccess, sched, trace, &mut NullObserver)
+            .expect("runs");
         let serial = e
             .run_dimm_serial(PolicyKind::VrlAccess, "ferret", sched)
             .expect("known");
@@ -1225,9 +1121,8 @@ mod tests {
     fn faulted_run_reports_injector_activity() {
         let e = small();
         let faults = FaultConfig::default_scenario(7);
-        let out = e
-            .run_faulted(PolicyKind::Vrl, "ferret", &faults, None)
-            .expect("known");
+        let trace = e.trace("ferret").expect("known");
+        let out = e.run_faulted_with(PolicyKind::Vrl, trace, &faults, None);
         assert!(out.guard.is_none());
         assert!(out.faults.optimistic_rows > 0 || out.faults.vrt_rows > 0);
         assert!(out.stats.total_cycles > 0);
@@ -1237,14 +1132,13 @@ mod tests {
     fn guarded_run_reports_guard_stats() {
         let e = small();
         let faults = FaultConfig::default_scenario(7);
-        let out = e
-            .run_faulted(
-                PolicyKind::Vrl,
-                "ferret",
-                &faults,
-                Some(&GuardConfig::default()),
-            )
-            .expect("known");
+        let trace = e.trace("ferret").expect("known");
+        let out = e.run_faulted_with(
+            PolicyKind::Vrl,
+            trace,
+            &faults,
+            Some(&GuardConfig::default()),
+        );
         let guard = out.guard.expect("guard stats");
         assert_eq!(out.violations, 0);
         assert_eq!(guard.uncorrected, 0, "guard must not lose data: {guard:?}");
@@ -1254,17 +1148,29 @@ mod tests {
     #[test]
     fn vrl_plan_is_integrity_safe() {
         let e = small();
-        let (_, violations) = e.run_checked(PolicyKind::Vrl, "swaptions").expect("known");
-        assert_eq!(violations, 0, "the computed MPRSF must never lose data");
+        let mut checker = e.integrity_checker();
+        e.run_policy_with(
+            PolicyKind::Vrl,
+            e.trace("swaptions").expect("known"),
+            &mut checker,
+        );
+        assert_eq!(
+            checker.violations().len(),
+            0,
+            "the computed MPRSF must never lose data"
+        );
     }
 
     #[test]
     fn vrl_access_plan_is_integrity_safe() {
         let e = small();
-        let (_, violations) = e
-            .run_checked(PolicyKind::VrlAccess, "bgsave")
-            .expect("known");
-        assert_eq!(violations, 0);
+        let mut checker = e.integrity_checker();
+        e.run_policy_with(
+            PolicyKind::VrlAccess,
+            e.trace("bgsave").expect("known"),
+            &mut checker,
+        );
+        assert_eq!(checker.violations().len(), 0);
     }
 
     #[test]
@@ -1340,12 +1246,20 @@ mod tests {
             ..Default::default()
         });
         let sched = e.sched_config(4).expect("4 banks");
+        let trace = e.trace("bgsave").expect("known");
         let plain = e
-            .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
-            .expect("known");
-        let (traced, stream) = e
-            .run_scheduled_traced(PolicyKind::VrlAccess, "bgsave", sched)
-            .expect("known");
+            .run_scheduled_with(PolicyKind::VrlAccess, sched, trace, &mut NullObserver)
+            .expect("runs");
+        let run = e.run(
+            &EngineSpec::Sched(sched),
+            PolicyKind::VrlAccess,
+            "bgsave",
+            true,
+            None,
+        );
+        let Ok(CheckpointOutcome::Completed((Outcome::Sched(traced), Some(stream)))) = run else {
+            panic!("expected a completed traced scheduler run, got {run:?}");
+        };
         assert_eq!(plain, traced, "recording must not perturb the run");
         assert_eq!(stream.policy, "vrl-access");
         assert!(!stream.events.is_empty());
@@ -1368,9 +1282,10 @@ mod tests {
             ..Default::default()
         });
         let sched = e.sched_config(4).expect("4 banks");
+        let trace = e.trace("ferret").expect("known");
         let stats = e
-            .run_scheduled(PolicyKind::Vrl, "ferret", sched)
-            .expect("known");
+            .run_scheduled_with(PolicyKind::Vrl, sched, trace, &mut NullObserver)
+            .expect("runs");
         let snap = sched_metrics(&stats);
         assert_eq!(snap.counter("sim.accesses"), stats.sim.accesses);
         assert_eq!(

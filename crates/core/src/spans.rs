@@ -21,9 +21,9 @@
 //!   restores an engine and cursor and re-enters the same loop.
 //!
 //! The final statistics of every path are byte-identical to the plain
-//! `run_policy` / `run_frfcfs` / `run_scheduled` results (asserted by the
-//! tests below, `tests/checkpoint_resume.rs`, and the serve bit-identity
-//! suite).
+//! `run_policy_with` / `run_frfcfs_with` / `run_scheduled_with` results
+//! (asserted by the tests below, `tests/checkpoint_resume.rs`, and the
+//! serve bit-identity suite).
 
 use std::ops::ControlFlow;
 
@@ -229,8 +229,8 @@ impl Experiment {
     }
 
     /// One channel shard of a full-DIMM run, segmented into spans —
-    /// the spanned analogue of [`Experiment::run_dimm_channel`] minus
-    /// the event recorder. Merging every channel's stats with
+    /// the spanned analogue of the shards [`Experiment::run_dimm_serial`]
+    /// runs, minus the event recorder. Merging every channel's stats with
     /// [`SchedStats::merge`] is bit-identical to
     /// [`Experiment::run_dimm_serial`].
     ///
@@ -290,7 +290,9 @@ mod tests {
     #[test]
     fn spanned_frfcfs_is_bit_identical() {
         let e = small();
-        let plain = e.run_frfcfs(PolicyKind::Vrl, "canneal", 8).unwrap();
+        let plain = e
+            .run_frfcfs_with(PolicyKind::Vrl, e.trace("canneal").unwrap(), 8)
+            .unwrap();
         let trace = e.materialize_trace("canneal").unwrap();
         let mut spans = 0;
         let spanned = e
@@ -307,7 +309,12 @@ mod tests {
         let e = small();
         let sched = e.sched_config(4).unwrap();
         let plain = e
-            .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
+            .run_scheduled_with(
+                PolicyKind::VrlAccess,
+                sched,
+                e.trace("bgsave").unwrap(),
+                &mut NullObserver,
+            )
             .unwrap();
         let trace = e.materialize_trace("bgsave").unwrap();
         let mut spans = 0;

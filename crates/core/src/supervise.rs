@@ -124,11 +124,7 @@ impl Experiment {
         jobs: &[(String, PolicyKind)],
     ) -> SupervisedMatrix {
         let batch = vrl_exec::map_supervised(cfg, sup, jobs, |_, (benchmark, kind)| {
-            self.run_policy(*kind, benchmark).map(|stats| MatrixCell {
-                benchmark: benchmark.clone(),
-                policy: *kind,
-                stats,
-            })
+            self.matrix_cell(*kind, benchmark)
         });
         SupervisedMatrix {
             events: supervisor_events_to_obs(&batch.events),

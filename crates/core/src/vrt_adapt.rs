@@ -20,7 +20,7 @@
 use vrl_circuit::model::AnalyticalModel;
 use vrl_dram_sim::integrity::IntegrityChecker;
 use vrl_dram_sim::sim::{SimConfig, Simulator};
-use vrl_dram_sim::timing::{RefreshLatency, TimingParams};
+use vrl_dram_sim::timing::TimingParams;
 use vrl_retention::profile::BankProfile;
 use vrl_retention::vrt::VrtProcess;
 
@@ -154,7 +154,6 @@ pub fn run_under_vrt(
             }
         }
     }
-    let _ = RefreshLatency::Full; // (type referenced for doc completeness)
     VrtRunResult {
         refresh_busy_cycles: refresh_busy,
         violations: checker.violations().len(),

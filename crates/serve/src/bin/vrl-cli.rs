@@ -82,7 +82,7 @@ use vrl_dram::experiment::{
 };
 use vrl_dram::mprsf::{Mprsf, MprsfCalculator};
 use vrl_dram::plan::RefreshPlan;
-use vrl_obs::{chrome_trace_json, validate_chrome_trace, MetricsSnapshot};
+use vrl_obs::{chrome_trace_json, validate_chrome_trace, EventStream, MetricsSnapshot};
 use vrl_retention::binning::RefreshBin;
 use vrl_retention::distribution::RetentionDistribution;
 use vrl_retention::profile::BankProfile;
@@ -99,17 +99,21 @@ type CmdResult = Result<ExitCode, UsageError>;
 /// convention of 2 for bad invocations.
 const USAGE_EXIT: u8 = 2;
 
-fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> bool {
-    match std::fs::write(path, snapshot.to_json()) {
+/// Writes `snapshot` to the `--metrics FILE` path, if one was given.
+fn write_metrics(args: &[String], snapshot: &MetricsSnapshot) -> CmdResult {
+    let Some(path) = flag_value(args, "--metrics")? else {
+        return Ok(ExitCode::SUCCESS);
+    };
+    Ok(match std::fs::write(&path, snapshot.to_json()) {
         Ok(()) => {
             println!("metrics snapshot written to {path}");
-            true
+            ExitCode::SUCCESS
         }
         Err(err) => {
             eprintln!("error: cannot write {path}: {err}");
-            false
+            ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Parses `--checkpoint FILE [--checkpoint-every N] [--halt-after K]`
@@ -171,30 +175,59 @@ fn print_sched_stats(policy: &str, stats: &vrl_sched::SchedStats) {
 }
 
 /// Runs `vrl <cmd> --resume FILE`: restores the snapshot (everything
-/// else comes from its header) and continues to completion, printing
-/// the resumed run's statistics.
+/// else comes from its header) and continues it. A run that completes
+/// comes back for the caller to print; a halted run prints that it
+/// halted and a failed one its error, and both yield the exit code.
 fn run_resume(
     args: &[String],
     resume_path: &str,
 ) -> Result<Result<ResumeReport, ExitCode>, UsageError> {
     let cont = checkpoint_flags(args)?;
-    Ok(
-        match vrl_dram::checkpoint::resume(Path::new(resume_path), cont.as_ref()) {
-            Ok(report) => {
-                println!(
-                    "resumed {} run of {} / {} from {resume_path}",
-                    report.front_end.name(),
-                    report.benchmark,
-                    report.policy.name()
-                );
-                Ok(report)
-            }
-            Err(err) => {
-                eprintln!("{err}");
-                Err(ExitCode::FAILURE)
-            }
-        },
-    )
+    let report = match vrl_dram::checkpoint::resume(Path::new(resume_path), cont.as_ref()) {
+        Ok(report) => report,
+        Err(err) => {
+            eprintln!("{err}");
+            return Ok(Err(ExitCode::FAILURE));
+        }
+    };
+    println!(
+        "resumed {} run of {} / {} from {resume_path}",
+        report.front_end.name(),
+        report.benchmark,
+        report.policy.name()
+    );
+    if let CheckpointOutcome::Halted { checkpoints } = report.outcome {
+        println!("halted again after {checkpoints} checkpoint(s)");
+        return Ok(Err(ExitCode::SUCCESS));
+    }
+    Ok(Ok(report))
+}
+
+/// The fresh-run counterpart of [`run_resume`]: a completed
+/// `Experiment::run` yields its statistics and events; a halted run
+/// prints how to resume it and a failed one its error, and both yield
+/// the exit code.
+fn completed(
+    run: Result<CheckpointOutcome<(Outcome, Option<EventStream>)>, vrl_dram::Error>,
+    cmd: &str,
+    ckpt: Option<&CheckpointConfig>,
+) -> Result<(Outcome, Option<EventStream>), ExitCode> {
+    match run {
+        Ok(CheckpointOutcome::Completed(done)) => Ok(done),
+        Ok(CheckpointOutcome::Halted { checkpoints }) => {
+            let path = &ckpt.expect("only a checkpointed run halts").path;
+            println!(
+                "halted after {checkpoints} checkpoint(s); resume with \
+                 `vrl {cmd} --resume {}`",
+                path.display()
+            );
+            Err(ExitCode::SUCCESS)
+        }
+        Err(err) => {
+            eprintln!("{err}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 fn cmd_model() -> CmdResult {
@@ -302,20 +335,12 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
             Ok(report) => report,
             Err(code) => return Ok(code),
         };
-        return Ok(match report.outcome {
-            CheckpointOutcome::Completed(Outcome::Sim(stats)) => {
-                print_sim_stats(report.policy.name(), &stats);
-                ExitCode::SUCCESS
-            }
-            CheckpointOutcome::Completed(_) => {
-                eprintln!("error: {path} is not a simulator snapshot (try `vrl sched --resume`)");
-                ExitCode::FAILURE
-            }
-            CheckpointOutcome::Halted { checkpoints } => {
-                println!("halted again after {checkpoints} checkpoint(s)");
-                ExitCode::SUCCESS
-            }
-        });
+        let CheckpointOutcome::Completed(Outcome::Sim(stats)) = report.outcome else {
+            eprintln!("error: {path} is not a simulator snapshot (try `vrl sched --resume`)");
+            return Ok(ExitCode::FAILURE);
+        };
+        print_sim_stats(report.policy.name(), &stats);
+        return Ok(ExitCode::SUCCESS);
     }
     let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
         return Err(UsageError::new(format!(
@@ -333,41 +358,18 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
         duration_ms,
         ..Default::default()
     });
-    if let Some(ckpt) = checkpoint_flags(args)? {
-        let [kind] = kinds[..] else {
-            return Err(UsageError::new(
-                "--checkpoint needs a single --policy (not 'all')",
-            ));
-        };
-        return Ok(
-            match experiment.run_checkpointed(&EngineSpec::Sim, kind, &benchmark, false, &ckpt) {
-                Ok(CheckpointOutcome::Completed((Outcome::Sim(stats), _))) => {
-                    print_sim_stats(kind.name(), &stats);
-                    ExitCode::SUCCESS
-                }
-                Ok(CheckpointOutcome::Completed(_)) => unreachable!("a simulator run"),
-                Ok(CheckpointOutcome::Halted { checkpoints }) => {
-                    println!(
-                        "halted after {checkpoints} checkpoint(s); resume with \
-                     `vrl simulate --resume {}`",
-                        ckpt.path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(err) => {
-                    eprintln!("{err}");
-                    ExitCode::FAILURE
-                }
-            },
-        );
+    let ckpt = checkpoint_flags(args)?;
+    if ckpt.is_some() && kinds.len() != 1 {
+        return Err(UsageError::new(
+            "--checkpoint needs a single --policy (not 'all')",
+        ));
     }
     for kind in kinds {
-        match experiment.run_policy(kind, &benchmark) {
-            Ok(stats) => print_sim_stats(kind.name(), &stats),
-            Err(err) => {
-                eprintln!("{err}");
-                return Ok(ExitCode::FAILURE);
-            }
+        let run = experiment.run(&EngineSpec::Sim, kind, &benchmark, false, ckpt.as_ref());
+        match completed(run, "simulate", ckpt.as_ref()) {
+            Ok((Outcome::Sim(stats), _)) => print_sim_stats(kind.name(), &stats),
+            Ok(_) => unreachable!("a simulator run"),
+            Err(code) => return Ok(code),
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -433,15 +435,10 @@ fn cmd_compare(args: &[String]) -> CmdResult {
             group[2].stats.refresh_busy_cycles as f64 / raidr
         );
     }
-    if let Some(path) = flag_value(args, "--metrics")? {
-        let snapshots: Vec<MetricsSnapshot> = cells.iter().map(|c| sim_metrics(&c.stats)).collect();
-        let merged = MetricsSnapshot::merged(snapshots.iter())
-            .expect("sim metric snapshots share one shape");
-        if !write_metrics(&path, &merged) {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    let snapshots: Vec<MetricsSnapshot> = cells.iter().map(|c| sim_metrics(&c.stats)).collect();
+    let merged =
+        MetricsSnapshot::merged(snapshots.iter()).expect("sim metric snapshots share one shape");
+    write_metrics(args, &merged)
 }
 
 const SCHED_FLAGS: [&str; 12] = [
@@ -466,27 +463,12 @@ fn cmd_sched(args: &[String]) -> CmdResult {
             Ok(report) => report,
             Err(code) => return Ok(code),
         };
-        return Ok(match report.outcome {
-            CheckpointOutcome::Completed(Outcome::Sched(stats)) => {
-                print_sched_stats(report.policy.name(), &stats);
-                if let Some(path) = flag_value(args, "--metrics")? {
-                    if !write_metrics(&path, &sched_metrics(&stats)) {
-                        return Ok(ExitCode::FAILURE);
-                    }
-                }
-                ExitCode::SUCCESS
-            }
-            CheckpointOutcome::Completed(_) => {
-                eprintln!(
-                    "error: {path} is not a scheduler snapshot (try `vrl simulate --resume`)"
-                );
-                ExitCode::FAILURE
-            }
-            CheckpointOutcome::Halted { checkpoints } => {
-                println!("halted again after {checkpoints} checkpoint(s)");
-                ExitCode::SUCCESS
-            }
-        });
+        let CheckpointOutcome::Completed(Outcome::Sched(stats)) = report.outcome else {
+            eprintln!("error: {path} is not a scheduler snapshot (try `vrl simulate --resume`)");
+            return Ok(ExitCode::FAILURE);
+        };
+        print_sched_stats(report.policy.name(), &stats);
+        return write_metrics(args, &sched_metrics(&stats));
     }
     let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
         return Err(UsageError::new(format!(
@@ -533,66 +515,28 @@ fn cmd_sched(args: &[String]) -> CmdResult {
         "p50 lat",
         "p99 lat"
     );
-    if let Some(ckpt) = checkpoint_flags(args)? {
-        let [kind] = kinds[..] else {
-            return Err(UsageError::new(
-                "--checkpoint needs a single --policy (not 'all')",
-            ));
-        };
-        return Ok(
-            match experiment.run_checkpointed(
-                &EngineSpec::Sched(sched),
-                kind,
-                &benchmark,
-                false,
-                &ckpt,
-            ) {
-                Ok(CheckpointOutcome::Completed((Outcome::Sched(stats), _))) => {
-                    print_sched_stats(kind.name(), &stats);
-                    if let Some(path) = flag_value(args, "--metrics")? {
-                        if !write_metrics(&path, &sched_metrics(&stats)) {
-                            return Ok(ExitCode::FAILURE);
-                        }
-                    }
-                    ExitCode::SUCCESS
-                }
-                Ok(CheckpointOutcome::Completed(_)) => unreachable!("a scheduler run"),
-                Ok(CheckpointOutcome::Halted { checkpoints }) => {
-                    println!(
-                        "halted after {checkpoints} checkpoint(s); resume with \
-                     `vrl sched --resume {}`",
-                        ckpt.path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(err) => {
-                    eprintln!("{err}");
-                    ExitCode::FAILURE
-                }
-            },
-        );
+    let ckpt = checkpoint_flags(args)?;
+    if ckpt.is_some() && kinds.len() != 1 {
+        return Err(UsageError::new(
+            "--checkpoint needs a single --policy (not 'all')",
+        ));
     }
+    let spec = EngineSpec::Sched(sched);
     let mut merged = MetricsSnapshot::default();
     for kind in kinds {
-        match experiment.run_scheduled(kind, &benchmark, sched) {
-            Ok(stats) => {
+        let run = experiment.run(&spec, kind, &benchmark, false, ckpt.as_ref());
+        match completed(run, "sched", ckpt.as_ref()) {
+            Ok((Outcome::Sched(stats), _)) => {
                 print_sched_stats(kind.name(), &stats);
                 merged
                     .merge(&sched_metrics(&stats))
                     .expect("sched metric snapshots share one shape");
             }
-            Err(err) => {
-                eprintln!("{err}");
-                return Ok(ExitCode::FAILURE);
-            }
+            Ok(_) => unreachable!("a scheduler run"),
+            Err(code) => return Ok(code),
         }
     }
-    if let Some(path) = flag_value(args, "--metrics")? {
-        if !write_metrics(&path, &merged) {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    write_metrics(args, &merged)
 }
 
 const TRACE_FLAGS: [&str; 13] = [
@@ -618,37 +562,14 @@ fn cmd_trace(args: &[String]) -> CmdResult {
             Ok(report) => report,
             Err(code) => return Ok(code),
         };
-        return Ok(match (report.outcome, report.events) {
-            (CheckpointOutcome::Completed(Outcome::Sched(stats)), Some(stream)) => {
-                let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
-                let json = chrome_trace_json(
-                    &stream.events,
-                    &stream.label,
-                    &stream.policy,
-                    stream.dropped,
-                );
-                if let Err(err) = std::fs::write(&out, &json) {
-                    eprintln!("error: cannot write {out}: {err}");
-                    return Ok(ExitCode::FAILURE);
-                }
-                println!(
-                    "{}: {} events ({} dropped) over {} cycles -> {out}",
-                    report.benchmark,
-                    stream.events.len(),
-                    stream.dropped,
-                    stats.sim.total_cycles
-                );
-                ExitCode::SUCCESS
-            }
-            (CheckpointOutcome::Halted { checkpoints }, _) => {
-                println!("halted again after {checkpoints} checkpoint(s)");
-                ExitCode::SUCCESS
-            }
-            _ => {
-                eprintln!("error: {path} is not a traced scheduler snapshot");
-                ExitCode::FAILURE
-            }
-        });
+        let (CheckpointOutcome::Completed(Outcome::Sched(stats)), Some(stream)) =
+            (report.outcome, report.events)
+        else {
+            eprintln!("error: {path} is not a traced scheduler snapshot");
+            return Ok(ExitCode::FAILURE);
+        };
+        let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
+        return write_trace(args, &report.benchmark, &stats, &stream, &out);
     }
     let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
         return Err(UsageError::new(format!(
@@ -675,55 +596,45 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         duration_ms,
         ..Default::default()
     });
-    let sched = match experiment.dimm_config(channels, ranks, banks) {
-        Ok(cfg) => cfg,
+    let spec = match experiment.dimm_config(channels, ranks, banks) {
+        Ok(cfg) => EngineSpec::Sched(cfg),
         Err(err) => {
             eprintln!("{err}");
             return Ok(ExitCode::FAILURE);
         }
     };
-    let (stats, stream) = if let Some(ckpt) = checkpoint_flags(args)? {
-        match experiment.run_checkpointed(&EngineSpec::Sched(sched), kind, &benchmark, true, &ckpt)
-        {
-            Ok(CheckpointOutcome::Completed((Outcome::Sched(stats), Some(stream)))) => {
-                (stats, stream)
-            }
-            Ok(CheckpointOutcome::Completed(_)) => unreachable!("a traced scheduler run"),
-            Ok(CheckpointOutcome::Halted { checkpoints }) => {
-                println!(
-                    "halted after {checkpoints} checkpoint(s); resume with \
-                     `vrl trace --resume {}`",
-                    ckpt.path.display()
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            Err(err) => {
-                eprintln!("{err}");
-                return Ok(ExitCode::FAILURE);
-            }
+    let ckpt = checkpoint_flags(args)?;
+    let run = experiment.run(&spec, kind, &benchmark, true, ckpt.as_ref());
+    match completed(run, "trace", ckpt.as_ref()) {
+        Ok((Outcome::Sched(stats), Some(stream))) => {
+            write_trace(args, &benchmark, &stats, &stream, &out)
         }
-    } else {
-        match experiment.run_scheduled_traced(kind, &benchmark, sched) {
-            Ok(out) => out,
-            Err(err) => {
-                eprintln!("{err}");
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    };
+        Ok(_) => unreachable!("a traced scheduler run"),
+        Err(code) => Ok(code),
+    }
+}
+
+/// Writes a traced scheduler run's events to `out` as a Chrome trace and
+/// reports them, then honors `--validate` and `--metrics`.
+fn write_trace(
+    args: &[String],
+    benchmark: &str,
+    stats: &vrl_sched::SchedStats,
+    stream: &EventStream,
+    out: &str,
+) -> CmdResult {
     let json = chrome_trace_json(
         &stream.events,
         &stream.label,
         &stream.policy,
         stream.dropped,
     );
-    if let Err(err) = std::fs::write(&out, &json) {
+    if let Err(err) = std::fs::write(out, &json) {
         eprintln!("error: cannot write {out}: {err}");
         return Ok(ExitCode::FAILURE);
     }
     println!(
-        "{}: {} events ({} dropped) over {} cycles -> {out}",
-        benchmark,
+        "{benchmark}: {} events ({} dropped) over {} cycles -> {out}",
         stream.events.len(),
         stream.dropped,
         stats.sim.total_cycles
@@ -745,12 +656,7 @@ fn cmd_trace(args: &[String]) -> CmdResult {
             }
         }
     }
-    if let Some(path) = flag_value(args, "--metrics")? {
-        if !write_metrics(&path, &sched_metrics(&stats)) {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    write_metrics(args, &sched_metrics(stats))
 }
 
 fn cmd_netlist(args: &[String]) -> CmdResult {

@@ -90,14 +90,6 @@ impl WorkloadSpec {
         })
     }
 
-    /// All presets, in Figure 4 order.
-    pub fn all_parsec() -> Vec<WorkloadSpec> {
-        Self::BENCHMARKS
-            .iter()
-            .map(|n| Self::parsec(n).expect("preset exists"))
-            .collect()
-    }
-
     /// Validates the specification.
     ///
     /// # Panics

@@ -60,12 +60,12 @@ fn sim_checkpoint_bytes_are_golden() {
     let scratch = Scratch::new("sim");
     assert_halted(
         experiment()
-            .run_checkpointed(
+            .run(
                 &EngineSpec::Sim,
                 PolicyKind::VrlAccess,
                 "swaptions",
                 false,
-                &scratch.config(),
+                Some(&scratch.config()),
             )
             .expect("checkpointed run"),
     );
@@ -77,12 +77,12 @@ fn frfcfs_checkpoint_bytes_are_golden() {
     let scratch = Scratch::new("frfcfs");
     assert_halted(
         experiment()
-            .run_checkpointed(
+            .run(
                 &EngineSpec::FrFcfs { queue_depth: 8 },
                 PolicyKind::Vrl,
                 "ferret",
                 false,
-                &scratch.config(),
+                Some(&scratch.config()),
             )
             .expect("checkpointed run"),
     );
@@ -95,12 +95,12 @@ fn sched_checkpoint_bytes_are_golden() {
     let sched = exp.sched_config(4).expect("sched config");
     let scratch = Scratch::new("sched");
     assert_halted(
-        exp.run_checkpointed(
+        exp.run(
             &EngineSpec::Sched(sched),
             PolicyKind::VrlAccess,
             "bgsave",
             false,
-            &scratch.config(),
+            Some(&scratch.config()),
         )
         .expect("checkpointed run"),
     );
@@ -113,12 +113,12 @@ fn traced_sched_checkpoint_bytes_are_golden() {
     let sched = exp.sched_config(4).expect("sched config");
     let scratch = Scratch::new("sched-traced");
     assert_halted(
-        exp.run_checkpointed(
+        exp.run(
             &EngineSpec::Sched(sched),
             PolicyKind::VrlAccess,
             "ferret",
             true,
-            &scratch.config(),
+            Some(&scratch.config()),
         )
         .expect("checkpointed run"),
     );
@@ -134,20 +134,20 @@ fn resumed_checkpoint_bytes_are_golden() {
     let sched = exp.sched_config(4).expect("sched config");
     let sim = Scratch::new("sim-resumed");
     let sched_scratch = Scratch::new("sched-resumed");
-    exp.run_checkpointed(
+    exp.run(
         &EngineSpec::Sim,
         PolicyKind::VrlAccess,
         "swaptions",
         false,
-        &sim.config(),
+        Some(&sim.config()),
     )
     .expect("first leg");
-    exp.run_checkpointed(
+    exp.run(
         &EngineSpec::Sched(sched),
         PolicyKind::VrlAccess,
         "bgsave",
         false,
-        &sched_scratch.config(),
+        Some(&sched_scratch.config()),
     )
     .expect("first leg");
     let mut hashes = Vec::new();

@@ -10,6 +10,8 @@ use std::path::PathBuf;
 use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome};
 use vrl_dram::experiment::{EngineSpec, Experiment, ExperimentConfig, Outcome, PolicyKind};
 use vrl_dram::Error;
+use vrl_dram_sim::sim::NullObserver;
+use vrl_obs::Recorder;
 
 fn experiment() -> Experiment {
     Experiment::new(ExperimentConfig {
@@ -52,12 +54,12 @@ fn sim_resume_is_bit_identical_at_arbitrary_kill_cycles() {
         let scratch = Scratch::new(&format!("sim-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_checkpointed(
+            .run(
                 &EngineSpec::Sim,
                 PolicyKind::VrlAccess,
                 "swaptions",
                 false,
-                &ckpt,
+                Some(&ckpt),
             )
             .expect("checkpointed run");
         assert_eq!(
@@ -82,19 +84,20 @@ fn sim_resume_is_bit_identical_at_arbitrary_kill_cycles() {
 fn frfcfs_resume_is_bit_identical_at_arbitrary_kill_cycles() {
     let exp = experiment();
     let queue_depth = exp.sched_config(4).expect("sched config").queue_depth;
+    let trace = exp.trace("ferret").expect("known");
     let reference = exp
-        .run_frfcfs(PolicyKind::Vrl, "ferret", queue_depth)
+        .run_frfcfs_with(PolicyKind::Vrl, trace, queue_depth)
         .expect("reference run");
     for (i, cadence) in KILL_CADENCES.into_iter().enumerate() {
         let scratch = Scratch::new(&format!("frfcfs-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_checkpointed(
+            .run(
                 &EngineSpec::FrFcfs { queue_depth },
                 PolicyKind::Vrl,
                 "ferret",
                 false,
-                &ckpt,
+                Some(&ckpt),
             )
             .expect("checkpointed run");
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
@@ -113,19 +116,20 @@ fn frfcfs_resume_is_bit_identical_at_arbitrary_kill_cycles() {
 fn sched_resume_is_bit_identical_at_arbitrary_kill_cycles() {
     let exp = experiment();
     let sched = exp.sched_config(4).expect("sched config");
+    let trace = exp.trace("bgsave").expect("known");
     let reference = exp
-        .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
+        .run_scheduled_with(PolicyKind::VrlAccess, sched, trace, &mut NullObserver)
         .expect("reference run");
     for (i, cadence) in KILL_CADENCES.into_iter().enumerate() {
         let scratch = Scratch::new(&format!("sched-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_checkpointed(
+            .run(
                 &EngineSpec::Sched(sched),
                 PolicyKind::VrlAccess,
                 "bgsave",
                 false,
-                &ckpt,
+                Some(&ckpt),
             )
             .expect("checkpointed run");
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
@@ -147,19 +151,20 @@ fn dimm_sched_resume_is_bit_identical_at_arbitrary_kill_cycles() {
     // snapshot path.
     let exp = experiment();
     let sched = exp.dimm_config(2, 2, 4).expect("dimm config");
+    let trace = exp.trace("bgsave").expect("known");
     let reference = exp
-        .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
+        .run_scheduled_with(PolicyKind::VrlAccess, sched, trace, &mut NullObserver)
         .expect("reference run");
     for (i, cadence) in KILL_CADENCES.into_iter().enumerate() {
         let scratch = Scratch::new(&format!("dimm-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_checkpointed(
+            .run(
                 &EngineSpec::Sched(sched),
                 PolicyKind::VrlAccess,
                 "bgsave",
                 false,
-                &ckpt,
+                Some(&ckpt),
             )
             .expect("checkpointed run");
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
@@ -181,18 +186,19 @@ fn resume_survives_multiple_kills_in_one_run() {
     // stats must still match the uninterrupted run.
     let exp = experiment();
     let sched = exp.sched_config(4).expect("sched config");
+    let trace = exp.trace("swaptions").expect("known");
     let reference = exp
-        .run_scheduled(PolicyKind::Vrl, "swaptions", sched)
+        .run_scheduled_with(PolicyKind::Vrl, sched, trace, &mut NullObserver)
         .expect("reference run");
     let scratch = Scratch::new("multi-kill");
     let ckpt = CheckpointConfig::new(&scratch.0, 9_000_000).with_halt_after(1);
     let halted = exp
-        .run_checkpointed(
+        .run(
             &EngineSpec::Sched(sched),
             PolicyKind::Vrl,
             "swaptions",
             false,
-            &ckpt,
+            Some(&ckpt),
         )
         .expect("first leg");
     assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
@@ -215,18 +221,25 @@ fn resume_survives_multiple_kills_in_one_run() {
 fn traced_resume_reproduces_the_identical_event_stream() {
     let exp = experiment();
     let sched = exp.sched_config(4).expect("sched config");
-    let (ref_stats, ref_stream) = exp
-        .run_scheduled_traced(PolicyKind::VrlAccess, "ferret", sched)
+    let trace = exp.trace("ferret").expect("known");
+    let mut recorder = Recorder::new(
+        "ferret",
+        PolicyKind::VrlAccess.name(),
+        sched.rows_per_bank(),
+    );
+    let ref_stats = exp
+        .run_scheduled_with(PolicyKind::VrlAccess, sched, trace, &mut recorder)
         .expect("reference traced run");
+    let ref_stream = recorder.finish();
     let scratch = Scratch::new("traced");
     let ckpt = CheckpointConfig::new(&scratch.0, 13_000_000).with_halt_after(1);
     let halted = exp
-        .run_checkpointed(
+        .run(
             &EngineSpec::Sched(sched),
             PolicyKind::VrlAccess,
             "ferret",
             true,
-            &ckpt,
+            Some(&ckpt),
         )
         .expect("checkpointed traced run");
     assert!(matches!(
@@ -248,12 +261,73 @@ fn traced_resume_reproduces_the_identical_event_stream() {
 }
 
 #[test]
+fn unpaused_runs_match_the_trace_level_runs() {
+    // Without a checkpoint config, `Experiment::run` drives the same
+    // engine path straight through: it always completes, equals the
+    // trace-level run over `Experiment::trace`, and a traced run adds
+    // only the event stream.
+    let exp = experiment();
+    let specs = [
+        EngineSpec::Sim,
+        EngineSpec::FrFcfs { queue_depth: 8 },
+        EngineSpec::Sched(exp.sched_config(4).expect("sched config")),
+        EngineSpec::Sched(exp.dimm_config(2, 2, 4).expect("dimm config")),
+    ];
+    let benchmark = "ferret";
+    for spec in specs {
+        for kind in PolicyKind::ALL {
+            let trace = exp.trace(benchmark).expect("known");
+            let reference = match spec {
+                EngineSpec::Sim => {
+                    Outcome::Sim(exp.run_policy_with(kind, trace, &mut NullObserver))
+                }
+                EngineSpec::FrFcfs { queue_depth } => Outcome::FrFcfs(
+                    exp.run_frfcfs_with(kind, trace, queue_depth)
+                        .expect("frfcfs run"),
+                ),
+                EngineSpec::Sched(sched) => Outcome::Sched(
+                    exp.run_scheduled_with(kind, sched, trace, &mut NullObserver)
+                        .expect("sched run"),
+                ),
+            };
+            let case = format!("{} / {}", spec.name(), kind.name());
+            let plain = exp
+                .run(&spec, kind, benchmark, false, None)
+                .expect("plain run");
+            assert_eq!(
+                plain,
+                CheckpointOutcome::Completed((reference.clone(), None)),
+                "{case}: plain run diverged"
+            );
+            match exp
+                .run(&spec, kind, benchmark, true, None)
+                .expect("traced run")
+            {
+                CheckpointOutcome::Completed((stats, Some(stream))) => {
+                    assert_eq!(stats, reference, "{case}: traced run diverged");
+                    assert!(!stream.events.is_empty(), "{case}: no events recorded");
+                    assert_eq!(stream.label, benchmark);
+                    assert_eq!(stream.policy, kind.name());
+                }
+                other => panic!("{case}: expected a completed traced run, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn corrupt_snapshots_are_typed_errors() {
     let exp = experiment();
     let scratch = Scratch::new("corrupt");
     let ckpt = CheckpointConfig::new(&scratch.0, 5_000_000).with_halt_after(1);
-    exp.run_checkpointed(&EngineSpec::Sim, PolicyKind::Vrl, "swaptions", false, &ckpt)
-        .expect("checkpointed run");
+    exp.run(
+        &EngineSpec::Sim,
+        PolicyKind::Vrl,
+        "swaptions",
+        false,
+        Some(&ckpt),
+    )
+    .expect("checkpointed run");
     let good = std::fs::read(&scratch.0).expect("snapshot bytes");
 
     // A flipped payload byte fails the checksum.
@@ -290,7 +364,13 @@ fn zero_cadence_is_rejected() {
     let scratch = Scratch::new("zero");
     let ckpt = CheckpointConfig::new(&scratch.0, 0);
     assert!(matches!(
-        exp.run_checkpointed(&EngineSpec::Sim, PolicyKind::Vrl, "swaptions", false, &ckpt),
+        exp.run(
+            &EngineSpec::Sim,
+            PolicyKind::Vrl,
+            "swaptions",
+            false,
+            Some(&ckpt)
+        ),
         Err(Error::Snapshot(vrl_snap::SnapError::Malformed { .. }))
     ));
 }

@@ -39,8 +39,14 @@ fn policy_ordering_holds_end_to_end() {
 fn all_policies_are_integrity_safe_under_traffic() {
     let e = experiment();
     for kind in [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess] {
-        let (_, violations) = e.run_checked(kind, "streamcluster").expect("known");
-        assert_eq!(violations, 0, "{} violated data integrity", kind.name());
+        let mut checker = e.integrity_checker();
+        e.run_policy_with(kind, e.trace("streamcluster").expect("known"), &mut checker);
+        assert_eq!(
+            checker.violations().len(),
+            0,
+            "{} violated data integrity",
+            kind.name()
+        );
     }
 }
 

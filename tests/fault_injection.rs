@@ -28,9 +28,8 @@ fn experiment() -> Experiment {
 fn unguarded_vrl_loses_data_under_default_faults() {
     let e = experiment();
     let faults = FaultConfig::default_scenario(42);
-    let out = e
-        .run_faulted(PolicyKind::Vrl, "ferret", &faults, None)
-        .expect("known");
+    let trace = e.trace("ferret").expect("known");
+    let out = e.run_faulted_with(PolicyKind::Vrl, trace, &faults, None);
     assert!(out.guard.is_none());
     assert!(
         out.violations >= 1,
@@ -48,14 +47,13 @@ fn guarded_vrl_is_lossless_with_bounded_overhead() {
     let e = experiment();
     let faults = FaultConfig::default_scenario(42);
     let fault_free = e.run_policy(PolicyKind::Vrl, "ferret").expect("known");
-    let out = e
-        .run_faulted(
-            PolicyKind::Vrl,
-            "ferret",
-            &faults,
-            Some(&GuardConfig::default()),
-        )
-        .expect("known");
+    let trace = e.trace("ferret").expect("known");
+    let out = e.run_faulted_with(
+        PolicyKind::Vrl,
+        trace,
+        &faults,
+        Some(&GuardConfig::default()),
+    );
     let guard = out.guard.expect("guard stats");
     assert_eq!(guard.uncorrected, 0, "guard lost data: {guard:?}");
     assert_eq!(out.stats.uncorrected_errors, 0);

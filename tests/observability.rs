@@ -3,8 +3,13 @@
 //! `trace_event` export round-trips through the schema validator with a
 //! rich event vocabulary.
 
-use vrl::core::experiment::{sched_metrics, Experiment, ExperimentConfig, PolicyKind};
-use vrl::obs::{chrome_trace_json, merge_streams, validate_chrome_trace, EventKind, NopObserver};
+use vrl::core::checkpoint::CheckpointOutcome;
+use vrl::core::experiment::{
+    sched_metrics, EngineSpec, Experiment, ExperimentConfig, Outcome, PolicyKind,
+};
+use vrl::obs::{
+    chrome_trace_json, merge_streams, validate_chrome_trace, EventKind, EventStream, NopObserver,
+};
 
 fn experiment() -> Experiment {
     Experiment::new(ExperimentConfig {
@@ -12,6 +17,19 @@ fn experiment() -> Experiment {
         duration_ms: 256.0,
         ..Default::default()
     })
+}
+
+/// One recorded run of `benchmark` on `spec`: its statistics and events.
+fn traced(
+    e: &Experiment,
+    spec: EngineSpec,
+    kind: PolicyKind,
+    benchmark: &str,
+) -> (Outcome, EventStream) {
+    match e.run(&spec, kind, benchmark, true, None).expect("known") {
+        CheckpointOutcome::Completed((outcome, Some(stream))) => (outcome, stream),
+        other => panic!("expected a completed traced run, got {other:?}"),
+    }
 }
 
 /// Observability off must equal observability on, bit for bit — the
@@ -24,8 +42,13 @@ fn nop_observer_is_bit_identical_to_recording() {
     for kind in [PolicyKind::Vrl, PolicyKind::VrlAccess] {
         // Single-bank front end.
         let off = e.run_policy(kind, "x264").expect("known");
-        let (on, _) = e.run_policy_traced(kind, "x264").expect("known");
-        assert_eq!(off, on, "{}: single-bank run diverged", kind.name());
+        let (on, _) = traced(&e, EngineSpec::Sim, kind, "x264");
+        assert_eq!(
+            Outcome::Sim(off),
+            on,
+            "{}: single-bank run diverged",
+            kind.name()
+        );
 
         // Scheduler front end, explicit NopObserver vs Recorder.
         let trace = {
@@ -35,8 +58,13 @@ fn nop_observer_is_bit_identical_to_recording() {
         let off = e
             .run_scheduled_with(kind, sched, trace.records(256.0), &mut NopObserver)
             .expect("runs");
-        let (on, stream) = e.run_scheduled_traced(kind, "x264", sched).expect("known");
-        assert_eq!(off, on, "{}: scheduled run diverged", kind.name());
+        let (on, stream) = traced(&e, EngineSpec::Sched(sched), kind, "x264");
+        assert_eq!(
+            Outcome::Sched(off),
+            on,
+            "{}: scheduled run diverged",
+            kind.name()
+        );
         assert!(!stream.events.is_empty(), "recording must capture events");
     }
 }
@@ -48,9 +76,14 @@ fn nop_observer_is_bit_identical_to_recording() {
 fn bgsave_trace_exports_at_least_four_event_kinds() {
     let e = experiment();
     let sched = e.sched_config(4).expect("4 banks");
-    let (stats, stream) = e
-        .run_scheduled_traced(PolicyKind::VrlAccess, "bgsave", sched)
-        .expect("known");
+    let (Outcome::Sched(stats), stream) = traced(
+        &e,
+        EngineSpec::Sched(sched),
+        PolicyKind::VrlAccess,
+        "bgsave",
+    ) else {
+        panic!("a scheduler run yields scheduler stats");
+    };
     let json = chrome_trace_json(
         &stream.events,
         &stream.label,
@@ -94,11 +127,7 @@ fn merged_streams_export_to_a_valid_trace() {
     let sched = e.sched_config(4).expect("4 banks");
     let streams: Vec<_> = ["ferret", "x264"]
         .iter()
-        .map(|b| {
-            e.run_scheduled_traced(PolicyKind::Vrl, b, sched)
-                .expect("known")
-                .1
-        })
+        .map(|b| traced(&e, EngineSpec::Sched(sched), PolicyKind::Vrl, b).1)
         .collect();
     let merged = merge_streams(&streams);
     assert!(merged.len() > streams.iter().map(|s| s.events.len()).max().unwrap());
