@@ -330,7 +330,11 @@ impl Experiment {
     ///
     /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
     pub fn materialize_trace(&self, benchmark: &str) -> Result<Vec<TraceRecord>, Error> {
-        Ok(self.trace(benchmark)?.collect())
+        // `for_each` runs the generator's internal loop; `collect` would
+        // pull one record at a time through `next`.
+        let mut records = Vec::new();
+        self.trace(benchmark)?.for_each(|r| records.push(r));
+        Ok(records)
     }
 
     /// Streams one benchmark's deterministic trace, regenerating it from

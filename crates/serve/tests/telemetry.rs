@@ -167,8 +167,10 @@ fn metrics_exposition_is_byte_stable_and_prefix_filterable() {
     // exposition carries no wall-clock values. Wait for true
     // quiescence first: the worker slot frees and the submitter's
     // closed connection is reaped asynchronously after the client has
-    // its result, and both feed live gauges.
+    // its result, and both feed live gauges. One round trip first, so
+    // the scraping connection is itself counted before the wait.
     let mut client = Client::connect(&addr).expect("connect");
+    client.ping().expect("ping");
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let health = server.health();

@@ -11,8 +11,7 @@
 //! sweeps all of memory doing writes.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution as _, Zipf};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::record::{Op, TraceRecord};
@@ -171,34 +170,108 @@ impl Workload {
         let mean_gap = CYCLES_PER_US / self.spec.accesses_per_us;
         Records {
             rng: StdRng::seed_from_u64(self.seed),
-            spec: self.spec.clone(),
-            footprint: self.footprint_rows(),
+            sampler: RowSampler::new(self.spec.pattern, self.footprint_rows()),
             bank_rows: self.bank_rows,
+            read_fraction: self.spec.read_fraction,
             mean_gap,
             cycle: 0,
             end_cycle,
-            seq_position: 0,
         }
     }
+}
+
+/// Picks footprint-local rows, with every loop-invariant constant of the
+/// pattern computed once per stream.
+///
+/// The Zipf arms are the continuous inverse CDF of the density `x^-s` on
+/// `[1, n+1)`, floored and clamped into the rank support `[1, n]`. Their
+/// f64 expressions and evaluation order are fixed: changing either moves
+/// every generated trace (`tests/golden_traces.rs` pins them).
+#[derive(Debug, Clone)]
+enum RowSampler {
+    /// `Zipf(0)`: uniform over the footprint.
+    Uniform(u32),
+    /// `Zipf(1)`: the CDF is proportional to `ln x`, so `x = hi^u`.
+    ZipfLog { n: f64, hi: f64 },
+    /// `Zipf(s)` for any other `s`: the CDF is proportional to
+    /// `x^(1-s) - 1`, so `x = (1 + u·c)^inv_e` with `c = hi^(1-s) - 1`
+    /// and `inv_e = 1/(1-s)`.
+    Zipf { n: f64, c: f64, inv_e: f64 },
+    /// A sweep over the footprint that wraps around; `next` is the row
+    /// the next record gets.
+    Sequential { footprint: u32, next: u32 },
+}
+
+impl RowSampler {
+    fn new(pattern: AccessPattern, footprint: u32) -> Self {
+        match pattern {
+            AccessPattern::Zipf(0.0) => RowSampler::Uniform(footprint),
+            AccessPattern::Zipf(s) => {
+                let n = footprint as f64;
+                let hi = n + 1.0;
+                if (s - 1.0).abs() < 1e-9 {
+                    RowSampler::ZipfLog { n, hi }
+                } else {
+                    let e = 1.0 - s;
+                    RowSampler::Zipf {
+                        n,
+                        c: hi.powf(e) - 1.0,
+                        inv_e: 1.0 / e,
+                    }
+                }
+            }
+            AccessPattern::Sequential => RowSampler::Sequential { footprint, next: 0 },
+        }
+    }
+
+    /// Draws one footprint-local row: one RNG draw for the random arms,
+    /// none for the sweep.
+    #[inline(always)]
+    fn sample(&mut self, rng: &mut StdRng) -> u32 {
+        match self {
+            RowSampler::Uniform(footprint) => rng.gen_range(0..*footprint),
+            RowSampler::ZipfLog { n, hi } => zipf_row(hi.powf(unit(rng)), *n),
+            RowSampler::Zipf { n, c, inv_e } => zipf_row((1.0 + unit(rng) * *c).powf(*inv_e), *n),
+            RowSampler::Sequential { footprint, next } => {
+                let row = *next;
+                *next = if row + 1 == *footprint { 0 } else { row + 1 };
+                row
+            }
+        }
+    }
+}
+
+/// A uniform draw in `[0, 1)` with 53-bit precision.
+#[inline(always)]
+fn unit(rng: &mut StdRng) -> f64 {
+    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Clamps a continuous Zipf draw into the rank support `[1, n]` and
+/// returns the zero-based row of that rank.
+#[inline(always)]
+fn zipf_row(x: f64, n: f64) -> u32 {
+    (x.floor().clamp(1.0, n) as u64 - 1) as u32
 }
 
 /// Iterator over generated trace records (see [`Workload::records`]).
 #[derive(Debug, Clone)]
 pub struct Records {
     rng: StdRng,
-    spec: WorkloadSpec,
-    footprint: u32,
+    sampler: RowSampler,
     bank_rows: u32,
+    read_fraction: f64,
     mean_gap: f64,
     cycle: u64,
     end_cycle: u64,
-    seq_position: u64,
 }
 
-impl Iterator for Records {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
+impl Records {
+    /// Generates the next record, or `None` once the stream passes its
+    /// end cycle. Draws from the RNG in a fixed order: the arrival gap,
+    /// then the row (see [`RowSampler::sample`]), then the operation.
+    #[inline(always)]
+    fn step(&mut self) -> Option<TraceRecord> {
         // Exponential inter-arrival (Poisson arrivals), minimum 1 cycle.
         let u: f64 = self.rng.gen_range(1e-12..1.0);
         let gap = (-u.ln() * self.mean_gap).ceil().max(1.0) as u64;
@@ -206,30 +279,37 @@ impl Iterator for Records {
         if self.cycle >= self.end_cycle {
             return None;
         }
-        let row_in_footprint = match self.spec.pattern {
-            AccessPattern::Zipf(s) => {
-                if s == 0.0 {
-                    self.rng.gen_range(0..self.footprint)
-                } else {
-                    let z = Zipf::new(self.footprint as u64, s).expect("validated");
-                    (z.sample(&mut self.rng) as u64 - 1) as u32
-                }
-            }
-            AccessPattern::Sequential => {
-                let r = (self.seq_position % self.footprint as u64) as u32;
-                self.seq_position += 1;
-                r
-            }
-        };
         // Spread the footprint across the bank deterministically so
         // different footprints do not all collide on row 0..N.
-        let row = spread_row(row_in_footprint, self.bank_rows);
-        let op = if self.rng.gen_bool(self.spec.read_fraction) {
+        let row = spread_row(self.sampler.sample(&mut self.rng), self.bank_rows);
+        let op = if unit(&mut self.rng) < self.read_fraction {
             Op::Read
         } else {
             Op::Write
         };
         Some(TraceRecord::new(self.cycle, op, row))
+    }
+}
+
+impl Iterator for Records {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        self.step()
+    }
+
+    /// Internal iteration (`for_each`, `sum`, …): the same `step` as
+    /// [`Iterator::next`], with the generator state held in this frame's
+    /// locals for the whole stream.
+    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, TraceRecord) -> B,
+    {
+        let mut acc = init;
+        while let Some(record) = self.step() {
+            acc = f(acc, record);
+        }
+        acc
     }
 }
 
@@ -333,6 +413,48 @@ mod tests {
         assert!(
             max < 1.5 * mean && min > 0.5 * mean,
             "not uniform: {min}..{max} vs {mean}"
+        );
+    }
+
+    #[test]
+    fn zipf_sampler_support_and_skew() {
+        // One exponent per Zipf arm: below 1, the `ln` arm, above 1.
+        for s in [0.99, 1.0, 1.2] {
+            let mut sampler = RowSampler::new(AccessPattern::Zipf(s), 1000);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut low = 0usize;
+            for _ in 0..10_000 {
+                let row = sampler.sample(&mut rng);
+                assert!(row < 1000, "Zipf({s}) drew row {row}");
+                if row < 10 {
+                    low += 1;
+                }
+            }
+            // The head holds far more mass than uniform's 1%.
+            assert!(low > 2_000, "Zipf({s}) low-rank mass = {low}");
+        }
+    }
+
+    #[test]
+    fn zipf_skew_survives_row_spreading() {
+        let spec = WorkloadSpec {
+            name: "skewed".into(),
+            footprint: 1.0,
+            pattern: AccessPattern::Zipf(0.99),
+            read_fraction: 0.5,
+            accesses_per_us: 8.0,
+        };
+        let trace: Vec<TraceRecord> = Workload::new(spec, 1024, 3).records(2.0).collect();
+        let mut counts = vec![0usize; 1024];
+        for r in &trace {
+            counts[r.row as usize] += 1;
+        }
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let head: usize = counts[..10].iter().sum();
+        assert!(
+            head * 5 > trace.len(),
+            "top-10 rows hold {head} of {} accesses",
+            trace.len()
         );
     }
 
