@@ -59,7 +59,11 @@ fn readiness_flips_at_queue_saturation_and_recovers_after_drain() {
     // Stagger three submissions, waiting for each to be admitted
     // (queue depth counts queued + running) before sending the next,
     // so none is shed and depth deterministically reaches the limit.
-    let specs: Vec<String> = (0..3).map(tiny_spec).collect();
+    // The first job is default-size, so the single worker is still
+    // running it when the other two arrive: a tiny first job can finish
+    // before the third submission is admitted on a loaded host.
+    let first = r#"{"benchmark":"bgsave","policy":"vrl","seed":0}"#.to_owned();
+    let specs: Vec<String> = [first, tiny_spec(1), tiny_spec(2)].into();
     let mut joins = Vec::new();
     for (i, spec_json) in specs.iter().enumerate() {
         let addr = addr.clone();
